@@ -17,7 +17,6 @@ from .tensor import Tensor
 
 NORM_EPS = 1e-5
 MBCONV_EXPANSION = 4
-MLP_RATIO = 1  # hidden width of the token MLP relative to token width
 
 
 @dataclass
@@ -213,11 +212,11 @@ def make_transformer_params(rng, channels: int, image_extent: int, patch: int, h
     p.params["pos"] = _uniform(rng, (tokens, width), width)
     for name in ("wq", "wk", "wv", "wo"):
         p.params[name] = _uniform(rng, (width, width), width)
-    hidden = MLP_RATIO * width
-    p.params["mlp_w1"] = _uniform(rng, (width, hidden), width)
-    p.params["mlp_b1"] = _uniform(rng, (hidden,), width)
-    p.params["mlp_w2"] = _uniform(rng, (hidden, width), hidden)
-    p.params["mlp_b2"] = _uniform(rng, (width,), hidden)
+    # The token MLP's hidden layer is as wide as a token.
+    p.params["mlp_w1"] = _uniform(rng, (width, width), width)
+    p.params["mlp_b1"] = _uniform(rng, (width,), width)
+    p.params["mlp_w2"] = _uniform(rng, (width, width), width)
+    p.params["mlp_b2"] = _uniform(rng, (width,), width)
     p.params["ln1_scale"] = _ones((width,))
     p.params["ln1_shift"] = _zeros((width,))
     p.params["ln2_scale"] = _ones((width,))

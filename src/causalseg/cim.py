@@ -1,11 +1,14 @@
 """Sample reweighting that suppresses pairwise feature dependence.
 
 Feature variables are pooled channels of the deepest encoder output. Each
-variable is lifted through a frozen random-cosine feature bank; dependence
-between two variables is measured as the squared Frobenius norm of the
-(weighted) cross-covariance of their lifted representations. The weight
-learner searches the scaled simplex {w >= 0, sum(w) = n} for weights that
-minimize the total pairwise dependence, via gradient descent on a softmax
+variable is lifted through a frozen random-cosine feature bank. Placing the
+lifts side by side, scaling each row by its sample weight and centring the
+columns gives Z; S = Z^T Z / (n-1) then holds every pair's weighted
+cross-covariance as an off-diagonal block. The objective is the total
+squared Frobenius norm of those blocks over pairs i < j, that is
+1/2 ||S - blockdiag(S)||_F^2, recorded on the tape by ``objective_graph``.
+The weight learner searches the scaled simplex {w >= 0, sum(w) = n} for
+weights that minimize it, via gradient descent on a softmax
 parameterization (always feasible, no projection step).
 """
 
@@ -118,96 +121,51 @@ def rff_map(column: np.ndarray, bank: RFFBank) -> np.ndarray:
     return np.sqrt(2.0) * np.cos(x[:, None] * bank.omega[None, :] + bank.phi[None, :])
 
 
-def partial_cross_cov(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Centered cross-covariance of two lifted features, divisor n-1."""
-    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    if u.ndim != 2 or v.ndim != 2 or u.shape[0] != v.shape[0]:
-        raise ShapeError("partial_cross_cov", u.shape, v.shape, detail="matching row counts required")
-    n = u.shape[0]
-    if n < 2:
-        raise DegenerateInputError("partial_cross_cov: need at least 2 rows")
-    cu = u - u.mean(axis=0, keepdims=True)
-    cv = v - v.mean(axis=0, keepdims=True)
-    return cu.T @ cv / (n - 1)
-
-
-def weighted_partial_cross_cov(u: np.ndarray, v: np.ndarray, weights: SampleWeights) -> np.ndarray:
-    """Cross-covariance of sample-weighted rows; reduces to the unweighted
-    form when every weight is 1."""
-    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    if u.ndim != 2 or v.ndim != 2 or u.shape[0] != v.shape[0]:
-        raise ShapeError("weighted_partial_cross_cov", u.shape, v.shape)
-    n = u.shape[0]
-    if n < 2:
-        raise DegenerateInputError("weighted_partial_cross_cov: need at least 2 rows")
-    if weights.n != n:
-        raise ShapeError("weighted_partial_cross_cov", (weights.n,), (n,), detail="weight count")
-    validate_simplex(weights.w)
-    wu = weights.w[:, None] * u
-    wv = weights.w[:, None] * v
-    cu = wu - wu.mean(axis=0, keepdims=True)
-    cv = wv - wv.mean(axis=0, keepdims=True)
-    return cu.T @ cv / (n - 1)
-
-
 def independence_objective(features: np.ndarray, banks: list[RFFBank],
                            weights: SampleWeights) -> float:
-    """Total pairwise dependence: sum over feature pairs i < j of the squared
-    Frobenius norm of the weighted cross-covariance."""
+    """Total pairwise dependence of the weighted, lifted feature columns.
+
+    Equals the sum over feature pairs i < j of the squared Frobenius norm of
+    their weighted cross-covariance; evaluated by ``objective_graph``.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ShapeError("independence_objective", features.shape)
     n, m = features.shape
     if m < 2:
         raise DegenerateInputError("independence_objective: need at least 2 features")
+    if n < 2:
+        raise DegenerateInputError("independence_objective: need at least 2 samples")
     if len(banks) < m:
         raise ConfigError(f"need {m} banks, got {len(banks)}")
+    if weights.n != n:
+        raise ShapeError("independence_objective", (weights.n,), (n,), detail="weight count")
+    validate_simplex(weights.w)
     lifted = [rff_map(features[:, k], banks[k]) for k in range(m)]
-    total = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            sigma = weighted_partial_cross_cov(lifted[i], lifted[j], weights)
-            total += float(np.sum(sigma * sigma))
-    return total
-
-
-def weighted_cov_graph(u: np.ndarray, v: np.ndarray, w: Tensor) -> Tensor:
-    """Differentiable squared Frobenius norm of the weighted cross-covariance.
-
-    u, v are constants; gradients flow into the weight tensor only.
-    """
-    n, du = u.shape
-    w_col = T.expand(T.reshape(w, (n, 1)), (n, du))
-    p = T.mul(Tensor(u), w_col)
-    w_col_v = T.expand(T.reshape(w, (n, 1)), (n, v.shape[1]))
-    q = T.mul(Tensor(v), w_col_v)
-    cp = T.sub(p, T.expand(T.reshape(T.reduce_mean(p, (0,)), (1, du)), p.shape))
-    cq = T.sub(q, T.expand(T.reshape(T.reduce_mean(q, (0,)), (1, v.shape[1])), q.shape))
-    sigma = T.matmul(T.transpose(cp, (1, 0)), cq) / float(n - 1)
-    return T.total_sum(T.mul(sigma, sigma))
+    return objective_graph(lifted, Tensor(weights.w)).item()
 
 
 def objective_graph(lifted: list[np.ndarray], w: Tensor) -> Tensor:
-    """Differentiable version of the pairwise independence objective."""
+    """Differentiable independence objective of constant lifts under weights w.
+
+    With Z the lifts side by side, rows scaled by w and centred, and
+    S = Z^T Z / (n-1), the objective is 1/2 ||S - blockdiag(S)||_F^2: each
+    off-diagonal block of S is one pair's cross-covariance and appears twice.
+    """
     m = len(lifted)
     if m < 2:
         raise DegenerateInputError("objective_graph: need at least 2 features")
-    total = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            term = weighted_cov_graph(lifted[i], lifted[j], w)
-            total = term if total is None else T.add(total, term)
-    return total
-
-
-def _softmax_weights_np(theta: np.ndarray) -> np.ndarray:
-    e = np.exp(theta - theta.max())
-    return theta.size * e / e.sum()
-
-
-def _softmax_weights_graph(theta: Tensor) -> Tensor:
-    n = theta.shape[0]
-    return T.softmax(theta, axis=0) * float(n)
+    n = lifted[0].shape[0]
+    if any(u.ndim != 2 or u.shape[0] != n for u in lifted):
+        raise ShapeError("objective_graph", *(u.shape for u in lifted), detail="matching row counts required")
+    z = np.hstack(lifted)
+    d = z.shape[1]
+    owner = np.repeat(np.arange(m), [u.shape[1] for u in lifted])
+    off_block = Tensor((owner[:, None] != owner[None, :]).astype(np.float64))
+    wz = T.mul(Tensor(z), T.expand(T.reshape(w, (n, 1)), (n, d)))
+    centred = T.sub(wz, T.expand(T.reshape(T.reduce_mean(wz, (0,)), (1, d)), (n, d)))
+    s = T.mul(T.matmul(T.transpose(centred, (1, 0)), centred) / float(n - 1), off_block)
+    return T.total_sum(T.mul(s, s)) * 0.5
 
 
 def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:
@@ -225,21 +183,22 @@ def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:
     lifted = [rff_map(features[:, k], banks[k]) for k in range(m)]
 
     theta = Tensor(np.zeros(n), requires_grad=True)
-    best_w = _softmax_weights_np(theta.data)
-    best_obj = independence_objective(features, banks, SampleWeights(best_w, n))
-    for step in range(cfg.inner_steps):
+    best_w, best_obj = None, np.inf
+    for step in range(cfg.inner_steps + 1):
         with Tape() as tape:
-            w = _softmax_weights_graph(theta)
+            w = T.softmax(theta, axis=0) * float(n)
             obj = objective_graph(lifted, w)
-        if not np.isfinite(obj.item()):
+        value = obj.item()
+        if not np.isfinite(value):
             raise NonFiniteError("learn_weights: objective diverged", index=step)
+        if value < best_obj:
+            # n * softmax(0) may round off 1; the start is kept as exact ones.
+            best_obj, best_w = value, w.data if step else np.ones(n)
+        if step == cfg.inner_steps:
+            break
         backward(obj, tape)
         theta.data = theta.data - cfg.inner_lr * theta.grad
         theta.zero_grad()
-        w_np = _softmax_weights_np(theta.data)
-        obj_np = independence_objective(features, banks, SampleWeights(w_np, n))
-        if obj_np < best_obj:
-            best_obj, best_w = obj_np, w_np
     return SampleWeights(best_w, n)
 
 

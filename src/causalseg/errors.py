@@ -50,7 +50,3 @@ class NonFiniteError(CausalSegError):
 
 class ConfigError(CausalSegError):
     """Invalid or inconsistent configuration."""
-
-
-class CheckpointError(CausalSegError):
-    """Unreadable or incompatible checkpoint file."""

@@ -132,8 +132,9 @@ class Tape:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _active_tapes.pop()
-        assert popped is self
+        if not _active_tapes or _active_tapes[-1] is not self:
+            raise TapeError("tape exited out of order: it is not the innermost active tape")
+        _active_tapes.pop()
 
     def __len__(self) -> int:
         return len(self._nodes)

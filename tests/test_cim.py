@@ -12,13 +12,10 @@ from causalseg.cim import (
     learn_weights,
     make_banks,
     objective_graph,
-    partial_cross_cov,
     rff_map,
-    weighted_cov_graph,
-    weighted_partial_cross_cov,
 )
 from causalseg.errors import DegenerateInputError, ShapeError, SimplexError
-from causalseg.tensor import Tensor, grad_check
+from causalseg.tensor import Tape, Tensor, grad_check
 
 
 def rng(seed=0):
@@ -40,6 +37,15 @@ def brute_force_weighted_cov(u, v, w):
     for i in range(n):
         total += np.outer(w[i] * u[i] - mu_u, w[i] * v[i] - mu_v)
     return total / (n - 1)
+
+
+def pairwise_objective(features, banks, w):
+    """Oracle: sum over feature pairs i < j of the squared Frobenius norm of
+    their brute-force weighted cross-covariance."""
+    m = features.shape[1]
+    lifted = [rff_map(features[:, k], banks[k]) for k in range(m)]
+    return sum(float(np.sum(brute_force_weighted_cov(lifted[i], lifted[j], w) ** 2))
+               for i in range(m) for j in range(i + 1, m))
 
 
 class TestRFF:
@@ -81,50 +87,64 @@ class TestRFF:
 
 
 class TestCrossCov:
-    def test_identical_rows_zero(self):
-        u = np.tile(rng(8).normal(size=(1, 3)), (5, 1))
-        v = rng(9).normal(size=(5, 4))
-        np.testing.assert_allclose(partial_cross_cov(u, v), 0.0, atol=1e-14)
+    """The objective against the pairwise cross-covariance definition."""
 
-    def test_hand_variance(self):
-        u = np.array([[1.0], [2.0], [3.0]])
-        assert partial_cross_cov(u, u)[0, 0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_frobenius_symmetry(self):
-        u, v = rng(10).normal(size=(6, 3)), rng(11).normal(size=(6, 5))
-        ab = np.linalg.norm(partial_cross_cov(u, v))
-        ba = np.linalg.norm(partial_cross_cov(v, u))
-        assert ab == pytest.approx(ba, abs=1e-12)
-
-    def test_too_few_rows(self):
-        with pytest.raises(DegenerateInputError):
-            partial_cross_cov(np.ones((1, 2)), np.ones((1, 2)))
+    def test_brute_force_double_loop(self):
+        for n, m in [(2, 2), (2, 5), (4, 2), (5, 3), (9, 4), (12, 16)]:
+            features = rng(14 + n).normal(size=(n, m))
+            banks = make_banks(m, CimConfig(seed=n))
+            w = simplex_weights(n, seed=16 + m)
+            expected = pairwise_objective(features, banks, w.w)
+            assert independence_objective(features, banks, w) == pytest.approx(expected, rel=1e-12)
 
     def test_unit_weights_reduce_to_unweighted(self):
         for seed in range(10):
-            u, v = rng(seed).normal(size=(7, 4)), rng(seed + 100).normal(size=(7, 3))
-            w = SampleWeights.uniform(7)
-            np.testing.assert_allclose(
-                weighted_partial_cross_cov(u, v, w), partial_cross_cov(u, v), atol=1e-12)
+            features = rng(seed).normal(size=(7, 3))
+            banks = make_banks(3, CimConfig(seed=seed))
+            lifted = [rff_map(features[:, k], banks[k]) for k in range(3)]
+            cov = np.cov(np.hstack(lifted), rowvar=False)  # unweighted, divisor n-1
+            d = banks[0].n_f
+            expected = sum(np.sum(cov[d * i:d * i + d, d * j:d * j + d] ** 2)
+                           for i in range(3) for j in range(i + 1, 3))
+            got = independence_objective(features, banks, SampleWeights.uniform(7))
+            assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_identical_rows_zero(self):
+        # A feature with the same value in every row has a constant lift, so
+        # its pairs contribute nothing under unit weights.
+        features = rng(8).normal(size=(5, 3))
+        features[:, 0] = 0.7
+        banks = make_banks(3, CimConfig())
+        w = SampleWeights.uniform(5)
+        rest = independence_objective(features[:, 1:], banks[1:], w)
+        assert independence_objective(features, banks, w) == pytest.approx(rest, rel=1e-12)
+
+    def test_hand_variance(self):
+        u = np.array([[1.0], [2.0], [3.0]])  # variance 1, so S is all ones
+        assert objective_graph([u, u], Tensor(np.ones(3))).item() == pytest.approx(1.0, abs=1e-15)
+
+    def test_frobenius_symmetry(self):
+        u, v = rng(10).normal(size=(6, 3)), rng(11).normal(size=(6, 5))
+        w = Tensor(simplex_weights(6, seed=12).w)
+        expected = np.sum(brute_force_weighted_cov(u, v, w.data) ** 2)
+        assert objective_graph([u, v], w).item() == pytest.approx(expected, rel=1e-12)
+        assert objective_graph([v, u], w).item() == pytest.approx(expected, rel=1e-12)
 
     def test_constant_weighted_rows_zero(self):
         w = simplex_weights(4, seed=12)
         u = 1.0 / w.w[:, None] * np.ones((4, 3))
         v = rng(13).normal(size=(4, 2))
-        np.testing.assert_allclose(weighted_partial_cross_cov(u, v, w), 0.0, atol=1e-12)
+        assert objective_graph([u, v], Tensor(w.w)).item() == pytest.approx(0.0, abs=1e-24)
 
-    def test_brute_force_double_loop(self):
-        u, v = rng(14).normal(size=(4, 5)), rng(15).normal(size=(4, 5))
-        w = simplex_weights(4, seed=16)
-        expected = brute_force_weighted_cov(u, v, w.w)
-        np.testing.assert_allclose(weighted_partial_cross_cov(u, v, w), expected, atol=1e-12)
+    def test_too_few_rows(self):
+        with pytest.raises(DegenerateInputError):
+            independence_objective(np.ones((1, 2)), make_banks(2, CimConfig()), SampleWeights.uniform(1))
 
     def test_off_simplex_rejected(self):
-        u = np.ones((3, 2))
         w = SampleWeights.uniform(3)
         w.w = np.array([1.0, 1.0, 2.0])  # sums to 4 with n=3
         with pytest.raises(SimplexError):
-            weighted_partial_cross_cov(u, u, w)
+            independence_objective(np.ones((3, 2)), make_banks(2, CimConfig()), w)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(SimplexError):
@@ -161,18 +181,19 @@ class TestObjective:
 
     def test_graph_matches_numpy(self):
         features = rng(21).normal(size=(6, 3))
-        cfg = CimConfig()
-        banks = make_banks(3, cfg)
+        banks = make_banks(3, CimConfig())
         w = simplex_weights(6, seed=22)
         lifted = [rff_map(features[:, k], banks[k]) for k in range(3)]
-        graph_val = objective_graph(lifted, Tensor(w.w)).item()
-        np_val = independence_objective(features, banks, w)
-        assert graph_val == pytest.approx(np_val, abs=1e-12)
+        with Tape():
+            graph_val = objective_graph(lifted, Tensor(w.w, requires_grad=True)).item()
+        assert graph_val == pytest.approx(pairwise_objective(features, banks, w.w), rel=1e-12)
 
     def test_weighted_cov_grad_check(self):
+        # With m=2 the objective is the squared Frobenius norm of a single
+        # weighted cross-covariance; the blocks have unequal widths.
         u, v = rng(23).normal(size=(5, 3)), rng(24).normal(size=(5, 4))
         w0 = simplex_weights(5, seed=25)
-        assert grad_check(lambda t: weighted_cov_graph(u, v, t), Tensor(w0.w)) < 1e-4
+        assert grad_check(lambda t: objective_graph([u, v], t), Tensor(w0.w)) < 1e-4
 
     def test_objective_graph_grad_check(self):
         features = rng(26).normal(size=(5, 3))
@@ -181,12 +202,22 @@ class TestObjective:
         w0 = simplex_weights(5, seed=27)
         assert grad_check(lambda t: objective_graph(lifted, t), Tensor(w0.w)) < 1e-4
 
+    def test_node_count_independent_of_m(self):
+        counts = []
+        for m in (2, 16):
+            lifted = [rff_map(rng(m).normal(size=8), bank) for bank in make_banks(m, CimConfig())]
+            with Tape() as tape:
+                objective_graph(lifted, Tensor(np.ones(8), requires_grad=True))
+            counts.append(len(tape))
+        assert counts[0] == counts[1]
+
 
 class TestLearnWeights:
     def test_uniform_start_exact(self):
-        cfg = CimConfig(inner_steps=1, inner_lr=1e-9)
-        w = learn_weights(rng(28).normal(size=(6, 2)), cfg)
-        assert w.w.sum() == pytest.approx(6.0, abs=1e-9)
+        # 49 * (1/49) rounds below 1, so a start at n * softmax(0) is not exact.
+        cfg = CimConfig(inner_steps=1, inner_lr=1e-30)
+        w = learn_weights(rng(28).normal(size=(49, 2)), cfg)
+        np.testing.assert_array_equal(w.w, np.ones(49))
 
     def test_never_worse_than_uniform(self):
         for seed in range(25):

@@ -264,6 +264,17 @@ class TestBackward:
         backward(loss, outer)
         np.testing.assert_array_equal(x.grad, [9.0])
 
+    def test_out_of_order_exit_rejected(self):
+        outer, inner = Tape(), Tape()
+        with outer:
+            with inner:
+                with pytest.raises(TapeError):
+                    outer.__exit__(None, None, None)
+        with pytest.raises(TapeError):
+            outer.__exit__(None, None, None)  # no longer active
+        x = Tensor([1.0], requires_grad=True)
+        assert T.mul(x, x).requires_grad is False  # both tapes were closed
+
 
 class TestGradCheck:
     def test_linear_exact(self):
