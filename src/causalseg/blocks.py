@@ -15,7 +15,6 @@ from . import tensor as T
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .tensor import Tensor
 
-NORM_EPS = 1e-5
 MBCONV_EXPANSION = 4
 
 
@@ -71,31 +70,15 @@ def norm_groups(channels: int) -> int:
 
 
 def group_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int) -> Tensor:
-    n, c, h, w = x.shape
-    if c % groups != 0:
-        raise ShapeError("group_norm", x.shape, detail=f"{groups} groups do not divide {c} channels")
-    xg = T.reshape(x, (n, groups, c // groups, h, w))
-    mu = T.reduce_mean(xg, (2, 3, 4))
-    mu_e = T.expand(T.reshape(mu, (n, groups, 1, 1, 1)), xg.shape)
-    centered = T.sub(xg, mu_e)
-    var = T.reduce_mean(T.mul(centered, centered), (2, 3, 4))
-    std_e = T.expand(T.reshape(T.power(var + NORM_EPS, 0.5), (n, groups, 1, 1, 1)), xg.shape)
-    normed = T.reshape(T.div(centered, std_e), (n, c, h, w))
-    scale_e = T.expand(T.reshape(scale, (1, c, 1, 1)), normed.shape)
-    shift_e = T.expand(T.reshape(shift, (1, c, 1, 1)), normed.shape)
-    return T.add(T.mul(normed, scale_e), shift_e)
+    if x.data.ndim != 4:
+        raise ShapeError("group_norm", x.shape, detail="NCHW tensor required")
+    return T.affine_norm(x, scale, shift, groups)
 
 
 def layer_norm(tokens: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    t, d = tokens.shape
-    mu_e = T.expand(T.reshape(T.reduce_mean(tokens, (1,)), (t, 1)), tokens.shape)
-    centered = T.sub(tokens, mu_e)
-    var = T.reduce_mean(T.mul(centered, centered), (1,))
-    std_e = T.expand(T.reshape(T.power(var + NORM_EPS, 0.5), (t, 1)), tokens.shape)
-    normed = T.div(centered, std_e)
-    scale_e = T.expand(T.reshape(scale, (1, d)), tokens.shape)
-    shift_e = T.expand(T.reshape(shift, (1, d)), tokens.shape)
-    return T.add(T.mul(normed, scale_e), shift_e)
+    if tokens.data.ndim != 2:
+        raise ShapeError("layer_norm", tokens.shape, detail="(tokens, width) matrix required")
+    return T.affine_norm(tokens, scale, shift, 1)
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
@@ -266,35 +249,23 @@ def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int,
     dh = width // heads
     scale = 1.0 / float(np.sqrt(dh))
 
-    tokens_all = _patchify(x, patch)  # (N, T, D)
-    t_count = tokens_all.shape[1]
-    outs = []
-    for i in range(n):
-        t = T.reshape(T.slice_axis(tokens_all, 0, i, i + 1), (t_count, width))
-        a_in = T.add(layer_norm(t, params["ln1_scale"], params["ln1_shift"]), params["pos"])
-        q = _linear(a_in, params["wq"])
-        k = _linear(a_in, params["wk"])
-        v = _linear(a_in, params["wv"])
-        head_ctx = []
-        for hd in range(heads):
-            lo, hi = hd * dh, (hd + 1) * dh
-            qh = T.slice_axis(q, 1, lo, hi)
-            kh = T.slice_axis(k, 1, lo, hi)
-            vh = T.slice_axis(v, 1, lo, hi)
-            scores = T.matmul(qh, T.transpose(kh, (1, 0))) * scale
-            attn = T.softmax(scores, axis=1)
-            if attn_out is not None:
-                attn_out.append(attn.data.copy())
-            head_ctx.append(T.matmul(attn, vh))
-        mixed = _linear(T.concat(head_ctx, axis=1), params["wo"])
-        t1 = T.add(t, mixed)
-        m_in = layer_norm(t1, params["ln2_scale"], params["ln2_shift"])
-        mlp = _linear(T.relu(_linear(m_in, params["mlp_w1"], params["mlp_b1"])),
-                      params["mlp_w2"], params["mlp_b2"])
-        t2 = T.add(t1, mlp)
-        outs.append(T.reshape(t2, (1, t_count, width)))
-    tokens_out = T.concat(outs, axis=0) if n > 1 else outs[0]
-    return _unpatchify(tokens_out, x.shape, patch)
+    tokens = _patchify(x, patch)  # (N, T, D)
+    t_count = tokens.shape[1]
+    t = T.reshape(tokens, (n * t_count, width))
+    pos = T.expand(T.reshape(params["pos"], (1, t_count, width)), tokens.shape)
+    a_in = T.add(T.reshape(layer_norm(t, params["ln1_scale"], params["ln1_shift"]), tokens.shape), pos)
+    # (N, T, D) -> (N, heads, T, dh); keys come out transposed, (N, heads, dh, T)
+    q, k, v = (T.transpose(T.reshape(T.matmul(a_in, params[nm]), (n, t_count, heads, dh)), perm)
+               for nm, perm in (("wq", (0, 2, 1, 3)), ("wk", (0, 2, 3, 1)), ("wv", (0, 2, 1, 3))))
+    attn = T.softmax(T.matmul(q, k) * scale, axis=3)
+    if attn_out is not None:
+        attn_out.extend(attn.data.reshape(n * heads, t_count, t_count).copy())
+    ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), t.shape)
+    t1 = T.add(t, _linear(ctx, params["wo"]))
+    m_in = layer_norm(t1, params["ln2_scale"], params["ln2_shift"])
+    mlp = _linear(T.relu(_linear(m_in, params["mlp_w1"], params["mlp_b1"])),
+                  params["mlp_w2"], params["mlp_b2"])
+    return _unpatchify(T.add(t1, mlp), x.shape, patch)
 
 
 # ---------------------------------------------------------------------------

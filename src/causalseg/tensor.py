@@ -2,8 +2,8 @@
 
 Design notes:
   * All data lives in row-major float64 numpy arrays; there is no other dtype.
-  * Differentiable ops record onto the innermost active ``Tape``. With no
-    tape active, ops are plain forward evaluations.
+  * Differentiable ops record onto the innermost ``Tape`` opened in the
+    same thread. With no tape active, ops are plain forward evaluations.
   * Broadcasting is deliberately restricted: binary elementwise ops accept
     identical shapes or one single-element operand, nothing else. Any other
     mismatch raises ``ShapeError``. Shape-changing broadcasts must go through
@@ -14,6 +14,7 @@ Design notes:
 
 from __future__ import annotations
 
+import contextvars
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -28,20 +29,31 @@ from .errors import (
 )
 
 _EXP_MAX = 709.0  # exp() overflows float64 just above this
+NORM_EPS = 1e-5  # added to the variance in affine_norm
 
-_active_tapes: list["Tape"] = []
+# Each thread sees its own stack of open tapes.
+_active_tapes: contextvars.ContextVar[tuple["Tape", ...]] = contextvars.ContextVar("active_tapes", default=())
 
 
 class Tensor:
     """A dense float64 array plus an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("_data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value) -> None:
+        # Always an ndarray: a 0-d update such as ``t.data - lr * g`` yields a
+        # numpy scalar, and writes through ``.flat`` on a scalar are lost.
+        self._data = np.asarray(value, dtype=np.float64)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -128,13 +140,14 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _active_tapes.append(self)
+        _active_tapes.set(_active_tapes.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if not _active_tapes or _active_tapes[-1] is not self:
+        stack = _active_tapes.get()
+        if not stack or stack[-1] is not self:
             raise TapeError("tape exited out of order: it is not the innermost active tape")
-        _active_tapes.pop()
+        _active_tapes.set(stack[:-1])
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -142,9 +155,10 @@ class Tape:
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Attach a node to the active tape if any input participates in autodiff."""
-    if _active_tapes and any(t.requires_grad for t in inputs):
+    stack = _active_tapes.get()
+    if stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _active_tapes[-1]._nodes.append(_Node(out, inputs, backward_fn))
+        stack[-1]._nodes.append(_Node(out, inputs, backward_fn))
     return out
 
 
@@ -302,14 +316,24 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul", a.shape, b.shape, detail="rank-2 operands required")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product; operands of rank > 2 are stacks of matrices.
+
+    ``b`` has the same leading (batch) axes as ``a``, or is a single matrix
+    shared by every batch entry, in which case its gradient sums over the batch.
+    """
+    if a.data.ndim < 2 or b.data.ndim not in (2, a.data.ndim):
+        raise ShapeError("matmul", a.shape, b.shape, detail="b must be a matrix or match a's rank")
+    if b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError("matmul", a.shape, b.shape, detail="batch axes disagree")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul", a.shape, b.shape, detail="inner dimensions disagree")
     out = Tensor(a.data @ b.data)
 
     def back(g):
-        return g @ b.data.T, a.data.T @ g
+        ga = g @ np.swapaxes(b.data, -1, -2)
+        if b.data.ndim == a.data.ndim:
+            return ga, np.swapaxes(a.data, -1, -2) @ g
+        return ga, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
     return _record(out, (a, b), back)
 
@@ -514,6 +538,43 @@ def crop2d(x: Tensor, crop: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# normalisation
+
+
+def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int) -> Tensor:
+    """Normalise over groups of axis 1 plus all trailing axes, then scale and shift.
+
+    Per sample and group: (x - mean) / (biased variance + NORM_EPS) ** 0.5. ``scale``
+    and ``shift`` hold one entry per index of axis 1. Group norm is an NCHW
+    input; layer norm is a (tokens, width) input with one group.
+    """
+    if x.data.ndim < 2:
+        raise ShapeError("affine_norm", x.shape, detail="rank >= 2 required")
+    n, c = x.shape[:2]
+    if groups < 1 or c % groups:
+        raise ShapeError("affine_norm", x.shape, detail=f"{groups} groups do not divide {c} channels")
+    if scale.shape != (c,) or shift.shape != (c,):
+        raise ShapeError("affine_norm", scale.shape, shift.shape, detail=f"need one entry per channel ({c})")
+    xg = x.data.reshape(n, groups, c // groups, *x.shape[2:])
+    axes = tuple(range(2, xg.ndim))
+    centered = xg - xg.mean(axis=axes, keepdims=True)
+    std = (np.mean(centered * centered, axis=axes, keepdims=True) + NORM_EPS) ** 0.5
+    xhat = centered / std
+    per_channel = (1, c) + (1,) * (x.data.ndim - 2)
+    out = Tensor(xhat.reshape(x.shape) * scale.data.reshape(per_channel) + shift.data.reshape(per_channel))
+
+    def back(g):
+        # closed form of the normalisation's backward (Wu & He, 2018)
+        summed = (0,) + tuple(range(2, g.ndim))
+        gxhat = (g * scale.data.reshape(per_channel)).reshape(xg.shape)
+        gx = (gxhat - gxhat.mean(axis=axes, keepdims=True)
+              - xhat * np.mean(gxhat * xhat, axis=axes, keepdims=True)) / std
+        return gx.reshape(x.shape), (g * xhat.reshape(x.shape)).sum(axis=summed), g.sum(axis=summed)
+
+    return _record(out, (x, scale, shift), back)
+
+
+# ---------------------------------------------------------------------------
 # convolution
 
 
@@ -521,25 +582,31 @@ def _conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - k) // stride + 1
 
 
-def _sliding_cols(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """(N,C,H,W) -> windows (N, C, Ho, Wo, k, k)."""
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
+    """(N,C,H,W) -> contiguous windows (N, C, k, k, Ho, Wo)."""
+    n, c, h, w = x.shape
+    if k == 1 and stride == 1 and pad == 0:
+        return x.reshape(n, c, 1, 1, h, w)
     if pad > 0:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
-
-
-def _col2im(gcols: np.ndarray, xshape: tuple, k: int, stride: int, pad: int) -> np.ndarray:
-    """Scatter-add window gradients (N,C,Ho,Wo,k,k) back onto the input."""
-    n, c, h, w = xshape
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    ho, wo = gcols.shape[2], gcols.shape[3]
+    cols = np.empty((n, c, k, k, ho, wo))
     for ki in range(k):
         for kj in range(k):
-            gx[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += gcols[:, :, :, :, ki, kj]
-    if pad > 0:
-        gx = gx[:, :, pad:-pad, pad:-pad]
-    return gx
+            cols[:, :, ki, kj] = x[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+    return cols
+
+
+def _col2im(gcols: np.ndarray, xshape: tuple, stride: int, pad: int) -> np.ndarray:
+    """Scatter-add window gradients (N, C, k, k, Ho, Wo) back onto the input."""
+    n, c, h, w = xshape
+    k, ho, wo = gcols.shape[2], gcols.shape[4], gcols.shape[5]
+    if k == 1 and stride == 1 and pad == 0:
+        return gcols.reshape(xshape)
+    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    for ki in range(k):
+        for kj in range(k):
+            gx[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += gcols[:, :, ki, kj]
+    return gx[:, :, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -559,19 +626,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if ho < 1 or wo < 1:
         raise ShapeError("conv2d", x.shape, kernel.shape, detail=f"output extent {ho}x{wo} non-positive")
 
-    win = _sliding_cols(x.data, kh, stride, padding)  # (N,C,Ho,Wo,k,k)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
+    cols = _im2col(x.data, kh, stride, padding, ho, wo).reshape(n, c * kh * kw, ho * wo)
     wmat = kernel.data.reshape(o, c * kh * kw)
-    out_data = np.matmul(cols, wmat.T).transpose(0, 2, 1).reshape(n, o, ho, wo)
-    out = Tensor(out_data)
+    out = Tensor((wmat @ cols).reshape(n, o, ho, wo))
 
     def back(g):
-        g2 = g.reshape(n, o, ho * wo)  # (N,O,L)
-        gw = np.tensordot(g2, cols, axes=([0, 2], [0, 1])).reshape(o, c, kh, kw)
-        gcols = np.matmul(g2.transpose(0, 2, 1), wmat)  # (N,L,CKK)
-        gcols = gcols.reshape(n, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        gx = _col2im(gcols, x.shape, kh, stride, padding)
-        return gx, gw
+        g2 = g.reshape(n, o, ho * wo)
+        gw = (g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+        gcols = (wmat.T @ g2).reshape(n, c, kh, kw, ho, wo)
+        return _col2im(gcols, x.shape, stride, padding), gw
 
     return _record(out, (x, kernel), back)
 
@@ -591,14 +654,15 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 
     if ho < 1 or wo < 1:
         raise ShapeError("depthwise_conv2d", x.shape, kernel.shape, detail="non-positive output extent")
 
-    win = _sliding_cols(x.data, kh, stride, padding)  # (N,C,Ho,Wo,k,k)
-    out = Tensor(np.einsum("nchwij,cij->nchw", win, kernel.data, optimize=True))
+    cols = _im2col(x.data, kh, stride, padding, ho, wo).reshape(n, c, kh * kw, ho * wo)
+    kmat = kernel.data.reshape(c, 1, kh * kw)
+    out = Tensor((kmat @ cols).reshape(n, c, ho, wo))
 
     def back(g):
-        gk = np.einsum("nchw,nchwij->cij", g, win, optimize=True)
-        gcols = g[:, :, :, :, None, None] * kernel.data[None, :, None, None, :, :]
-        gx = _col2im(gcols, x.shape, kh, stride, padding)
-        return gx, gk
+        g2 = g.reshape(n, c, 1, ho * wo)
+        gk = (g2 @ cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(kernel.shape)
+        gcols = (kmat.reshape(c, kh * kw, 1) * g2).reshape(n, c, kh, kw, ho, wo)
+        return _col2im(gcols, x.shape, stride, padding), gk
 
     return _record(out, (x, kernel), back)
 

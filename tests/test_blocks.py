@@ -80,6 +80,16 @@ class TestGroupNorm:
         out = B.group_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), 2)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
+    def test_norms_record_one_node(self):
+        x = Tensor(rng(6).normal(size=(2, 8, 4, 4)), requires_grad=True)
+        with T.Tape() as tape:
+            B.group_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)), 4)
+        assert len(tape) == 1
+        tokens = Tensor(rng(7).normal(size=(5, 8)), requires_grad=True)
+        with T.Tape() as tape:
+            B.layer_norm(tokens, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+        assert len(tape) == 1
+
     def test_normalizes_per_group(self):
         x = Tensor(rng(5).normal(size=(2, 8, 4, 4)))
         out = B.group_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)), 4).data
@@ -168,6 +178,19 @@ class TestTransformer:
         x = Tensor(rng(25).normal(size=(1, 4, 8, 8)))
         out = B.transformer_block(x, p, patch=2, heads=2)
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
+
+    def test_node_count_independent_of_batch(self):
+        p = B.make_transformer_params(rng(38), 4, 8, patch=2, heads=2)
+        counts = {}
+        for n in (1, 2, 4):
+            x = Tensor(rng(39).normal(size=(n, 4, 8, 8)), requires_grad=True)
+            with T.Tape() as tape:
+                B.transformer_block(x, p, patch=2, heads=2)
+            counts[n] = len(tape)
+        # At N=1 expanding the positional table over the batch is the
+        # identity and records nothing; beyond that the count is flat.
+        assert counts[1] == counts[2] - 1 and counts[2] == counts[4]
+        assert counts[4] < 50
 
     def test_indivisible_patch_rejected(self):
         p = B.make_transformer_params(rng(26), 4, 8, patch=2, heads=2)

@@ -108,3 +108,10 @@ class TestDacFuse:
         f1 = Tensor(rng(21).normal(size=(3, 3, 6, 10)))
         f2 = Tensor(rng(22).normal(size=(3, 5, 6, 10)))
         assert dac_fuse(f1, f2, layer, SimamConfig()).shape == (3, 6, 6, 10)
+
+    def test_out_of_place_update_keeps_a_0d_array(self):
+        layer = make_dac_layer(rng(23), 2, 2, 2, layer_index=0)
+        layer.k1.data = layer.k1.data - 0.1  # numpy returns a scalar here
+        assert isinstance(layer.k1.data, np.ndarray) and layer.k1.data.shape == ()
+        layer.k1.data.flat[0] = 2.0
+        assert layer.k1.item() == 2.0

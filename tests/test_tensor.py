@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,28 @@ class TestMatmul:
     def test_inner_mismatch(self):
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+    def test_batched_matches_per_entry(self):
+        g = rng(20)
+        a, b, shared = g.normal(size=(2, 3, 4, 5)), g.normal(size=(2, 3, 5, 2)), g.normal(size=(5, 2))
+        per_batch = T.matmul(Tensor(a), Tensor(b)).data
+        with_shared = T.matmul(Tensor(a), Tensor(shared)).data
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(per_batch[i, j], a[i, j] @ b[i, j], rtol=1e-14)
+                np.testing.assert_allclose(with_shared[i, j], a[i, j] @ shared, rtol=1e-14)
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((2, 3, 4), (3, 4, 5)),     # leading axes differ
+        ((2, 3, 4), (1, 4, 5)),     # no broadcasting of batch axes
+        ((2, 2, 3, 4), (2, 4, 5)),  # rank of b neither 2 nor a's
+        ((3, 4), (2, 4, 5)),        # a batched b needs a batched a
+        ((4,), (4, 5)),             # vectors are not matrices
+        ((2, 3, 4), (2, 5, 4)),     # inner dimensions
+    ])
+    def test_batched_shape_errors(self, a_shape, b_shape):
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
 class TestConv2d:
@@ -264,6 +288,28 @@ class TestBackward:
         backward(loss, outer)
         np.testing.assert_array_equal(x.grad, [9.0])
 
+    def test_tape_not_shared_across_threads(self):
+        opened, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_tape_open():
+            with Tape() as tape:
+                opened.set()
+                release.wait(timeout=10)
+            seen["nodes"] = len(tape)
+
+        worker = threading.Thread(target=hold_tape_open)
+        worker.start()
+        try:
+            assert opened.wait(timeout=10)
+            x = Tensor([1.0], requires_grad=True)
+            assert T.mul(x, x).requires_grad is False
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen["nodes"] == 0
+
     def test_out_of_order_exit_rejected(self):
         outer, inner = Tape(), Tape()
         with outer:
@@ -334,6 +380,39 @@ class TestGradCheck:
             return T.total_sum(T.mul(piece, piece))
 
         assert grad_check(f, a, eps=1e-5) < 1e-7
+
+    @pytest.mark.parametrize("b_shape", [(2, 3, 4, 2), (4, 2)])
+    def test_batched_matmul_grads(self, b_shape):
+        g = rng(14)
+        a = Tensor(g.normal(size=(2, 3, 3, 4)))
+        b = Tensor(g.normal(size=b_shape))
+        weight = Tensor(g.normal(size=(2, 3, 3, 2)))
+        assert grad_check(lambda t: T.total_sum(T.mul(T.matmul(t, b), weight)), a) < 1e-8
+        assert grad_check(lambda t: T.total_sum(T.mul(T.matmul(a, t), weight)), b) < 1e-8
+
+    @pytest.mark.parametrize("shape,groups", [((2, 6, 3, 3), 3), ((2, 4, 3, 3), 1), ((5, 6), 1), ((2, 4, 5), 2)])
+    def test_affine_norm_grads(self, shape, groups):
+        g = rng(15)
+        x = Tensor(g.normal(size=shape) * 2.0 + 0.5)
+        scale = Tensor(g.normal(size=shape[1]))
+        shift = Tensor(g.normal(size=shape[1]))
+        weight = Tensor(g.normal(size=shape))
+
+        def loss(x_, scale_, shift_):
+            return T.total_sum(T.mul(T.affine_norm(x_, scale_, shift_, groups), weight))
+
+        assert grad_check(lambda t: loss(t, scale, shift), x) < 1e-7
+        assert grad_check(lambda t: loss(x, t, shift), scale) < 1e-7
+        assert grad_check(lambda t: loss(x, scale, t), shift) < 1e-7
+
+    def test_affine_norm_shape_errors(self):
+        x = Tensor(np.ones((2, 6, 3, 3)))
+        with pytest.raises(ShapeError):
+            T.affine_norm(x, Tensor(np.ones(6)), Tensor(np.ones(6)), 4)
+        with pytest.raises(ShapeError):
+            T.affine_norm(x, Tensor(np.ones(3)), Tensor(np.ones(6)), 3)
+        with pytest.raises(ShapeError):
+            T.affine_norm(Tensor(np.ones(6)), Tensor(np.ones(6)), Tensor(np.ones(6)), 1)
 
 
 def test_forward_determinism():
