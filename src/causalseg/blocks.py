@@ -83,8 +83,7 @@ def layer_norm(tokens: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
     """Add a per-channel bias to an NCHW tensor."""
-    n, c, h, w = x.shape
-    return T.add(x, T.expand(T.reshape(bias, (1, c, 1, 1)), x.shape))
+    return T.add(x, T.reshape(bias, (1, x.shape[1], 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +104,10 @@ def simam(x: Tensor, cfg: SimamConfig) -> Tensor:
     hw = h * w
     if hw < 2:
         raise DegenerateInputError("simam: each channel needs at least 2 spatial positions")
-    mu = T.reduce_mean(x, (2, 3))
-    mu_e = T.expand(T.reshape(mu, (n, c, 1, 1)), x.shape)
-    dev = T.sub(x, mu_e)
+    dev = T.sub(x, T.reshape(T.reduce_mean(x, (2, 3)), (n, c, 1, 1)))
     d = T.mul(dev, dev)
-    v = T.reduce_sum(d, (2, 3)) / float(hw - 1)
-    v_e = T.expand(T.reshape(v, (n, c, 1, 1)), x.shape)
-    energy = T.div(d, (v_e + cfg.lam) * 4.0) + 0.5
+    v = T.reshape(T.reduce_sum(d, (2, 3)), (n, c, 1, 1)) / float(hw - 1)
+    energy = T.div(d, (v + cfg.lam) * 4.0) + 0.5
     return T.mul(x, T.sigmoid(energy))
 
 
@@ -227,7 +223,7 @@ def _unpatchify(tokens: Tensor, shape: tuple, patch: int) -> Tensor:
 def _linear(tokens: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     y = T.matmul(tokens, weight)
     if bias is not None:
-        y = T.add(y, T.expand(T.reshape(bias, (1, bias.shape[0])), y.shape))
+        y = T.add(y, T.reshape(bias, (1, bias.shape[0])))
     return y
 
 
@@ -252,7 +248,7 @@ def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int,
     tokens = _patchify(x, patch)  # (N, T, D)
     t_count = tokens.shape[1]
     t = T.reshape(tokens, (n * t_count, width))
-    pos = T.expand(T.reshape(params["pos"], (1, t_count, width)), tokens.shape)
+    pos = T.reshape(params["pos"], (1, t_count, width))
     a_in = T.add(T.reshape(layer_norm(t, params["ln1_scale"], params["ln1_shift"]), tokens.shape), pos)
     # (N, T, D) -> (N, heads, T, dh); keys come out transposed, (N, heads, dh, T)
     q, k, v = (T.transpose(T.reshape(T.matmul(a_in, params[nm]), (n, t_count, heads, dh)), perm)

@@ -162,8 +162,8 @@ def objective_graph(lifted: list[np.ndarray], w: Tensor) -> Tensor:
     d = z.shape[1]
     owner = np.repeat(np.arange(m), [u.shape[1] for u in lifted])
     off_block = Tensor((owner[:, None] != owner[None, :]).astype(np.float64))
-    wz = T.mul(Tensor(z), T.expand(T.reshape(w, (n, 1)), (n, d)))
-    centred = T.sub(wz, T.expand(T.reshape(T.reduce_mean(wz, (0,)), (1, d)), (n, d)))
+    wz = T.mul(Tensor(z), T.reshape(w, (n, 1)))
+    centred = T.sub(wz, T.reshape(T.reduce_mean(wz, (0,)), (1, d)))
     s = T.mul(T.matmul(T.transpose(centred, (1, 0)), centred) / float(n - 1), off_block)
     return T.total_sum(T.mul(s, s)) * 0.5
 

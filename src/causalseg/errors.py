@@ -1,8 +1,8 @@
 """Exception types raised by the library.
 
 Every contract violation raises a structured error from this module rather
-than a bare ValueError, so callers (and the CLI) can map failures to exit
-codes without string matching.
+than a bare ValueError, so callers can map failures to exit codes without
+string matching.
 """
 
 

@@ -82,7 +82,7 @@ def focal_loss(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
     fg = _check_pair("focal_loss", probs, target)
     p_true = _true_class_prob(probs, fg)
     alpha = Tensor(np.where(fg == 1.0, cfg.alpha_t, 1.0 - cfg.alpha_t))
-    hard = T.power(T.sub(Tensor(np.ones(p_true.shape)), p_true), cfg.gamma)
+    hard = T.power(1.0 - p_true, cfg.gamma)
     per_pixel = T.mul(T.mul(alpha, hard), T.mul(T.log(p_true), Tensor(-1.0)))
     return T.total_mean(per_pixel)
 

@@ -4,10 +4,12 @@ Design notes:
   * All data lives in row-major float64 numpy arrays; there is no other dtype.
   * Differentiable ops record onto the innermost ``Tape`` opened in the
     same thread. With no tape active, ops are plain forward evaluations.
-  * Broadcasting is deliberately restricted: binary elementwise ops accept
-    identical shapes or one single-element operand, nothing else. Any other
-    mismatch raises ``ShapeError``. Shape-changing broadcasts must go through
-    the explicit ``expand`` op.
+  * Broadcasting is deliberately restricted. A binary elementwise op's result
+    always has the shape of one operand; the other is either a single element
+    or has the same rank with extent 1 on every axis where the two differ,
+    and its gradient is summed over those axes. Anything else (rank
+    promotion, broadcasting on both sides, a mismatch where neither extent
+    is 1) raises ``ShapeError``.
   * Gradients accumulate additively into ``Tensor.grad``; callers zero them
     between optimization steps.
 """
@@ -20,13 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    NonFiniteError,
-    ShapeError,
-    TapeError,
-)
+from .errors import DomainError, NonFiniteError, ShapeError, TapeError
 
 _EXP_MAX = 709.0  # exp() overflows float64 just above this
 NORM_EPS = 1e-5  # added to the variance in affine_norm
@@ -63,16 +59,10 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError("item", self.shape, detail="expected a single element")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -174,8 +164,9 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         raise TapeError("backward called twice on the same tape")
     tape._consumed = True
 
+    # Only tensors that require gradients hold one; constants are skipped.
     produced = {id(n.out) for n in tape._nodes}
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)} if loss.requires_grad else {}
     holders: dict[int, Tensor] = {id(loss): loss}
 
     for node in reversed(tape._nodes):
@@ -184,7 +175,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
             continue  # dead branch: output never influenced the loss
         input_grads = node.backward_fn(g_out)
         for inp, g in zip(node.inputs, input_grads):
-            if g is None:
+            if g is None or not inp.requires_grad:
                 continue
             key = id(inp)
             if key in grads:
@@ -196,7 +187,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
     result: dict[Tensor, np.ndarray] = {}
     for key, g in grads.items():
         t = holders[key]
-        if t.requires_grad and key not in produced:
+        if key not in produced:
             result[t] = g
             t.grad = g.copy() if t.grad is None else t.grad + g
     return result
@@ -207,20 +198,24 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
 
 
 def _binary_shapes(op: str, a: Tensor, b: Tensor) -> tuple[int, ...]:
+    """Result shape of a binary op: the shape of one operand (see design notes)."""
     if a.shape == b.shape:
         return a.shape
-    if a.size == 1:
-        return b.shape
-    if b.size == 1:
-        return a.shape
+    for big, small in ((b, a), (a, b)):
+        if small.size == 1 and small.data.ndim <= big.data.ndim:
+            return big.shape
+        if small.data.ndim == big.data.ndim and all(ss == 1 or ss == sb for sb, ss in zip(big.shape, small.shape)):
+            return big.shape
     raise ShapeError(op, a.shape, b.shape)
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Collapse a gradient onto a single-element operand's shape."""
+    """Sum a gradient over the axes its operand was broadcast along."""
     if g.shape == shape:
         return g
-    return np.sum(g).reshape(shape)
+    if math.prod(shape) == 1:
+        return np.sum(g).reshape(shape)
+    return g.sum(axis=tuple(ax for ax, s in enumerate(shape) if s != g.shape[ax]), keepdims=True)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -377,24 +372,6 @@ def reduce_mean(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _record(out, (x,), lambda g: (_expand_like(g / n, x.shape, axes).copy(),))
 
 
-def reduce_var(x: Tensor, axes: Sequence[int]) -> Tensor:
-    """Unbiased variance (divisor n-1) over ``axes``."""
-    axes = _normalize_axes("var", axes, x.data.ndim)
-    if not axes:
-        return x
-    n = int(np.prod([x.shape[a] for a in axes]))
-    if n < 2:
-        raise DegenerateInputError("var: unbiased variance needs at least 2 elements")
-    mean = x.data.mean(axis=axes, keepdims=True)
-    centered = x.data - mean
-    out = Tensor(np.sum(centered * centered, axis=axes) / (n - 1))
-
-    def back(g):
-        return (_expand_like(g, x.shape, axes) * 2.0 * centered / (n - 1),)
-
-    return _record(out, (x,), back)
-
-
 def total_sum(x: Tensor) -> Tensor:
     return reduce_sum(x, tuple(range(x.data.ndim)))
 
@@ -422,25 +399,6 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     inv = np.argsort(axes)
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
     return _record(out, (x,), lambda g: (np.ascontiguousarray(g.transpose(inv)),))
-
-
-def expand(x: Tensor, shape: Sequence[int]) -> Tensor:
-    """Explicit broadcast: size-1 axes of x may grow to the target extents."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != x.data.ndim:
-        raise ShapeError("expand", x.shape, shape, detail="rank must match")
-    grown = []
-    for ax, (have, want) in enumerate(zip(x.shape, shape)):
-        if have == want:
-            continue
-        if have != 1:
-            raise ShapeError("expand", x.shape, shape, detail=f"axis {ax} is not 1")
-        grown.append(ax)
-    if not grown:
-        return x
-    out = Tensor(np.broadcast_to(x.data, shape).copy())
-    gset = tuple(grown)
-    return _record(out, (x,), lambda g: (g.sum(axis=gset, keepdims=True),))
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -492,49 +450,8 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _record(out, (x,), back)
 
 
-def split(x: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
-    """Inverse of concat: cut ``x`` into consecutive blocks along ``axis``."""
-    rank = x.data.ndim
-    axis = axis + rank if axis < 0 else axis
-    if sum(sizes) != x.shape[axis]:
-        raise ShapeError("split", x.shape, detail=f"sizes {tuple(sizes)} do not cover axis {axis}")
-    parts, off = [], 0
-    for s in sizes:
-        parts.append(slice_axis(x, axis, off, off + s))
-        off += s
-    return parts
 
 
-def pad2d(x: Tensor, pad: int) -> Tensor:
-    """Zero-pad the last two axes of an NCHW tensor by ``pad`` on every side."""
-    if x.data.ndim != 4:
-        raise ShapeError("pad2d", x.shape, detail="NCHW tensor required")
-    if pad < 0:
-        raise ShapeError("pad2d", x.shape, detail="negative pad")
-    if pad == 0:
-        return x
-    out = Tensor(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))))
-    return _record(out, (x,), lambda g: (g[:, :, pad:-pad, pad:-pad].copy(),))
-
-
-def crop2d(x: Tensor, crop: int) -> Tensor:
-    """Remove ``crop`` pixels from every side of the last two axes (inverse of pad2d)."""
-    if x.data.ndim != 4:
-        raise ShapeError("crop2d", x.shape, detail="NCHW tensor required")
-    if crop < 0:
-        raise ShapeError("crop2d", x.shape, detail="negative crop")
-    if crop == 0:
-        return x
-    if x.shape[2] <= 2 * crop or x.shape[3] <= 2 * crop:
-        raise ShapeError("crop2d", x.shape, detail=f"crop {crop} leaves nothing")
-    out = Tensor(x.data[:, :, crop:-crop, crop:-crop].copy())
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        gx[:, :, crop:-crop, crop:-crop] = g
-        return (gx,)
-
-    return _record(out, (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -675,15 +592,9 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     """Numerically stable softmax along one axis (max shift is a constant)."""
     rank = x.data.ndim
     axis = axis + rank if axis < 0 else axis
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    e = exp(sub(x, expand(shift, x.shape)))
+    e = exp(sub(x, Tensor(x.data.max(axis=axis, keepdims=True))))
     total = reduce_sum(e, (axis,))
-    total = expand(reshape(total, _keep_shape(x.shape, axis)), x.shape)
-    return div(e, total)
-
-
-def _keep_shape(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:
-    return tuple(1 if i == axis else s for i, s in enumerate(shape))
+    return div(e, reshape(total, tuple(1 if i == axis else s for i, s in enumerate(x.shape))))
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:
@@ -691,9 +602,8 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError("upsample_nearest2x", x.shape, detail="NCHW tensor required")
     n, c, h, w = x.shape
-    y = reshape(x, (n, c, h, 1, w, 1))
-    y = expand(y, (n, c, h, 2, w, 2))
-    return reshape(y, (n, c, 2 * h, 2 * w))
+    out = Tensor(np.broadcast_to(x.data.reshape(n, c, h, 1, w, 1), (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w))
+    return _record(out, (x,), lambda g: (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),))
 
 
 # ---------------------------------------------------------------------------

@@ -187,9 +187,7 @@ class TestTransformer:
             with T.Tape() as tape:
                 B.transformer_block(x, p, patch=2, heads=2)
             counts[n] = len(tape)
-        # At N=1 expanding the positional table over the batch is the
-        # identity and records nothing; beyond that the count is flat.
-        assert counts[1] == counts[2] - 1 and counts[2] == counts[4]
+        assert counts[1] == counts[2] == counts[4]
         assert counts[4] < 50
 
     def test_indivisible_patch_rejected(self):

@@ -1,9 +1,9 @@
 """Fast paths against the slow composites they replaced.
 
 The oracles below are the earlier implementations: group and layer norm as
-reshape/expand chains of tape ops, the transformer block as a loop over images
-and heads, and the convolution backward over sliding windows with a strided
-scatter. Forwards must agree to 1e-12 relative. Gradients must agree to
+chains of reduce, reshape and broadcasting elementwise tape ops, the
+transformer block as a loop over images and heads, and the convolution
+backward over sliding windows with a strided scatter. Forwards must agree to 1e-12 relative. Gradients must agree to
 1e-12 * max|g| over the block's inputs and parameters: a bias that feeds a
 per-channel group norm has an analytic gradient of 0, so an entry-wise
 relative bound means nothing there.
@@ -29,26 +29,19 @@ def oracle_group_norm(x, scale, shift, groups):
     n, c, h, w = x.shape
     xg = T.reshape(x, (n, groups, c // groups, h, w))
     mu = T.reduce_mean(xg, (2, 3, 4))
-    mu_e = T.expand(T.reshape(mu, (n, groups, 1, 1, 1)), xg.shape)
-    centered = T.sub(xg, mu_e)
+    centered = T.sub(xg, T.reshape(mu, (n, groups, 1, 1, 1)))
     var = T.reduce_mean(T.mul(centered, centered), (2, 3, 4))
-    std_e = T.expand(T.reshape(T.power(var + T.NORM_EPS, 0.5), (n, groups, 1, 1, 1)), xg.shape)
-    normed = T.reshape(T.div(centered, std_e), (n, c, h, w))
-    scale_e = T.expand(T.reshape(scale, (1, c, 1, 1)), normed.shape)
-    shift_e = T.expand(T.reshape(shift, (1, c, 1, 1)), normed.shape)
-    return T.add(T.mul(normed, scale_e), shift_e)
+    std = T.reshape(T.power(var + T.NORM_EPS, 0.5), (n, groups, 1, 1, 1))
+    normed = T.reshape(T.div(centered, std), (n, c, h, w))
+    return T.add(T.mul(normed, T.reshape(scale, (1, c, 1, 1))), T.reshape(shift, (1, c, 1, 1)))
 
 
 def oracle_layer_norm(tokens, scale, shift):
     t, d = tokens.shape
-    mu_e = T.expand(T.reshape(T.reduce_mean(tokens, (1,)), (t, 1)), tokens.shape)
-    centered = T.sub(tokens, mu_e)
+    centered = T.sub(tokens, T.reshape(T.reduce_mean(tokens, (1,)), (t, 1)))
     var = T.reduce_mean(T.mul(centered, centered), (1,))
-    std_e = T.expand(T.reshape(T.power(var + T.NORM_EPS, 0.5), (t, 1)), tokens.shape)
-    normed = T.div(centered, std_e)
-    scale_e = T.expand(T.reshape(scale, (1, d)), tokens.shape)
-    shift_e = T.expand(T.reshape(shift, (1, d)), tokens.shape)
-    return T.add(T.mul(normed, scale_e), shift_e)
+    normed = T.div(centered, T.reshape(T.power(var + T.NORM_EPS, 0.5), (t, 1)))
+    return T.add(T.mul(normed, T.reshape(scale, (1, d))), T.reshape(shift, (1, d)))
 
 
 def oracle_transformer_block(x, params, patch, heads, attn_out=None):
