@@ -280,12 +280,23 @@ def make_decoder_params(rng, up_channels: int, skip_channels: int, out_channels:
 
 
 def decoder_block(x: Tensor, skip: Tensor, params: BlockParams) -> Tensor:
-    """Upsample x2, concatenate the skip, then 3x3 conv + group norm + ReLU."""
-    up = T.upsample_nearest2x(x)
-    if up.shape[0] != skip.shape[0] or up.shape[2:] != skip.shape[2:]:
-        raise ShapeError("decoder_block", up.shape, skip.shape, detail="skip extents must match upsampled input")
-    y = T.concat([up, skip], axis=1)
-    y = T.conv2d(y, params["kernel"], stride=1, padding=1)
+    """Upsample x2, concatenate the skip, then 3x3 conv + group norm + ReLU.
+
+    The conv over the concatenation is the sum of a conv over each part, so
+    the x part runs as one sub-pixel ``upsample_conv2d`` and neither the
+    upsampled nor the concatenated tensor is built.
+    """
+    kernel = params["kernel"]
+    if x.data.ndim != 4 or skip.data.ndim != 4:
+        raise ShapeError("decoder_block", x.shape, skip.shape, detail="NCHW tensors required")
+    n, cu, h, w = x.shape
+    if skip.shape[0] != n or skip.shape[2:] != (2 * h, 2 * w):
+        raise ShapeError("decoder_block", x.shape, skip.shape, detail="skip extents must match upsampled input")
+    cin = kernel.shape[1]
+    if cu + skip.shape[1] != cin:
+        raise ShapeError("decoder_block", x.shape, skip.shape, detail=f"kernel expects {cin} channels in total")
+    y = T.add(T.upsample_conv2d(x, T.slice_axis(kernel, 1, 0, cu)),
+              T.conv2d(skip, T.slice_axis(kernel, 1, cu, cin), stride=1, padding=1))
     y = add_bias(y, params["bias"])
     y = group_norm(y, params["scale"], params["shift"], norm_groups(params.out_channels))
     return T.relu(y)

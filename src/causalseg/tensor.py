@@ -12,6 +12,9 @@ Design notes:
     is 1) raises ``ShapeError``.
   * Gradients accumulate additively into ``Tensor.grad``; callers zero them
     between optimization steps.
+  * Convolutions are GEMMs over an im2col buffer that is zero only where a
+    window leaves the input; no padded copy of the input or its gradient is
+    made. A convolution whose input requires no gradient computes none for it.
 """
 
 from __future__ import annotations
@@ -450,10 +453,6 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _record(out, (x,), back)
 
 
-
-
-
-
 # ---------------------------------------------------------------------------
 # normalisation
 
@@ -474,19 +473,27 @@ def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int) -> Tensor:
         raise ShapeError("affine_norm", scale.shape, shift.shape, detail=f"need one entry per channel ({c})")
     xg = x.data.reshape(n, groups, c // groups, *x.shape[2:])
     axes = tuple(range(2, xg.ndim))
-    centered = xg - xg.mean(axis=axes, keepdims=True)
-    std = (np.mean(centered * centered, axis=axes, keepdims=True) + NORM_EPS) ** 0.5
-    xhat = centered / std
+    xhat = xg - xg.mean(axis=axes, keepdims=True)
+    std = (np.mean(xhat * xhat, axis=axes, keepdims=True) + NORM_EPS) ** 0.5
+    xhat /= std
     per_channel = (1, c) + (1,) * (x.data.ndim - 2)
-    out = Tensor(xhat.reshape(x.shape) * scale.data.reshape(per_channel) + shift.data.reshape(per_channel))
+    y = xhat.reshape(x.shape) * scale.data.reshape(per_channel)
+    y += shift.data.reshape(per_channel)
+    out = Tensor(y)
 
     def back(g):
-        # closed form of the normalisation's backward (Wu & He, 2018)
+        # closed form of the normalisation's backward (Wu & He, 2018), on the
+        # owned gx and one scratch buffer
         summed = (0,) + tuple(range(2, g.ndim))
-        gxhat = (g * scale.data.reshape(per_channel)).reshape(xg.shape)
-        gx = (gxhat - gxhat.mean(axis=axes, keepdims=True)
-              - xhat * np.mean(gxhat * xhat, axis=axes, keepdims=True)) / std
-        return gx.reshape(x.shape), (g * xhat.reshape(x.shape)).sum(axis=summed), g.sum(axis=summed)
+        gx = (g * scale.data.reshape(per_channel)).reshape(xg.shape)
+        scratch = gx * xhat
+        k = np.mean(scratch, axis=axes, keepdims=True)
+        gx -= gx.mean(axis=axes, keepdims=True)
+        np.multiply(xhat, k, out=scratch)
+        gx -= scratch
+        gx /= std
+        np.multiply(g.reshape(xg.shape), xhat, out=scratch)
+        return gx.reshape(x.shape), scratch.reshape(x.shape).sum(axis=summed), g.sum(axis=summed)
 
     return _record(out, (x, scale, shift), back)
 
@@ -499,31 +506,50 @@ def _conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - k) // stride + 1
 
 
+def _inside(extent: int, k: int, stride: int, pad: int, out_extent: int) -> list[tuple[int, int, slice]]:
+    """Per kernel offset: the output range [lo, hi) whose window tap lies inside
+    the input along one axis, and the input slice that range reads."""
+    ranges = []
+    for off in range(k):
+        lo = min(out_extent, max(0, -((off - pad) // stride)))
+        hi = max(lo, min(out_extent, (extent - 1 + pad - off) // stride + 1))
+        start = lo * stride + off - pad
+        ranges.append((lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return ranges
+
+
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
-    """(N,C,H,W) -> contiguous windows (N, C, k, k, Ho, Wo)."""
+    """(N,C,H,W) -> contiguous windows (N, C, k, k, Ho, Wo), zero where a window leaves the input."""
     n, c, h, w = x.shape
     if k == 1 and stride == 1 and pad == 0:
         return x.reshape(n, c, 1, 1, h, w)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     cols = np.empty((n, c, k, k, ho, wo))
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, :, ki, kj] = x[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+    cranges = _inside(w, k, stride, pad, wo)
+    for ki, (r0, r1, rows) in enumerate(_inside(h, k, stride, pad, ho)):
+        for kj, (c0, c1, cs) in enumerate(cranges):
+            dst = cols[:, :, ki, kj]
+            dst[:, :, :r0] = 0.0
+            dst[:, :, r1:] = 0.0
+            dst[:, :, r0:r1, :c0] = 0.0
+            dst[:, :, r0:r1, c1:] = 0.0
+            if r0 < r1 and c0 < c1:
+                dst[:, :, r0:r1, c0:c1] = x[:, :, rows, cs]
     return cols
 
 
 def _col2im(gcols: np.ndarray, xshape: tuple, stride: int, pad: int) -> np.ndarray:
-    """Scatter-add window gradients (N, C, k, k, Ho, Wo) back onto the input."""
+    """Scatter-add window gradients (N, C, k, k, Ho, Wo) back onto the (N, C, H, W) input."""
     n, c, h, w = xshape
     k, ho, wo = gcols.shape[2], gcols.shape[4], gcols.shape[5]
     if k == 1 and stride == 1 and pad == 0:
         return gcols.reshape(xshape)
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    for ki in range(k):
-        for kj in range(k):
-            gx[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += gcols[:, :, ki, kj]
-    return gx[:, :, pad:pad + h, pad:pad + w]
+    gx = np.zeros(xshape)
+    cranges = _inside(w, k, stride, pad, wo)
+    for ki, (r0, r1, rows) in enumerate(_inside(h, k, stride, pad, ho)):
+        for kj, (c0, c1, cs) in enumerate(cranges):
+            if r0 < r1 and c0 < c1:
+                gx[:, :, rows, cs] += gcols[:, :, ki, kj, r0:r1, c0:c1]
+    return gx
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -550,6 +576,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     def back(g):
         g2 = g.reshape(n, o, ho * wo)
         gw = (g2 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+        if not x.requires_grad:
+            return None, gw
         gcols = (wmat.T @ g2).reshape(n, c, kh, kw, ho, wo)
         return _col2im(gcols, x.shape, stride, padding), gw
 
@@ -584,6 +612,59 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 
     return _record(out, (x, kernel), back)
 
 
+def _parity_fold() -> np.ndarray:
+    """(9, 36) map from a 3x3 kernel to four parity kernels over low-res 3x3 windows.
+
+    Output row 2i+a of a 3x3 pad-1 conv on the nearest 2x upsample reads
+    low-res rows (i-1, i, i) for a = 0 and (i, i, i+1) for a = 1; columns
+    fold the same way. Kernel taps that land on the same low-res tap add up.
+    """
+    one_axis = np.eye(3)[[[0, 1, 1], [1, 1, 2]]]  # (parity, kernel tap, low-res tap)
+    fold = np.einsum("aik,bjl->ijabkl", one_axis, one_axis).reshape(9, 36)
+    fold.flags.writeable = False  # a shared constant, never a buffer
+    return fold
+
+
+_PARITY_FOLD = _parity_fold()
+
+
+def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
+    """3x3 stride-1 pad-1 conv of the nearest 2x upsample of NCHW ``x``, one node.
+
+    A sub-pixel convolution (Shi et al., arXiv 1609.05158): the kernel folds
+    into four parity kernels, one GEMM runs them on a 3x3 im2col of ``x`` at
+    low resolution, and a pixel shuffle interleaves the four outputs into
+    (N, O, 2H, 2W). The upsampled tensor is never built.
+    """
+    if x.data.ndim != 4 or kernel.data.ndim != 4:
+        raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail="NCHW input and OCKK kernel required")
+    n, c, h, w = x.shape
+    o, ck, kh, kw = kernel.shape
+    if (kh, kw) != (3, 3):
+        raise ShapeError("upsample_conv2d", kernel.shape, detail="3x3 kernel required")
+    if ck != c:
+        raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail=f"kernel expects {ck} channels, input has {c}")
+
+    cols = _im2col(x.data, 3, 1, 1, h, w).reshape(n, c * 9, h * w)
+    # (O*C, 9) @ (9, 36) -> (O, C, a, b, 3, 3) -> rows (a, b, O), columns (C, 3, 3)
+    wf = (kernel.data.reshape(o * c, 9) @ _PARITY_FOLD).reshape(o, c, 4, 9)
+    wf = wf.transpose(2, 0, 1, 3).reshape(4 * o, c * 9)
+    y = (wf @ cols).reshape(n, 2, 2, o, h, w)
+    out = Tensor(y.transpose(0, 3, 4, 1, 5, 2).reshape(n, o, 2 * h, 2 * w))
+
+    def back(g):
+        g2 = g.reshape(n, o, h, 2, w, 2).transpose(0, 3, 5, 1, 2, 4).reshape(n, 4 * o, h * w)
+        gwf = (g2 @ cols.transpose(0, 2, 1)).sum(axis=0)
+        gk = gwf.reshape(4, o, c, 9).transpose(1, 2, 0, 3).reshape(o * c, 36) @ _PARITY_FOLD.T
+        gk = gk.reshape(kernel.shape)
+        if not x.requires_grad:
+            return None, gk
+        gcols = (wf.T @ g2).reshape(n, c, 3, 3, h, w)
+        return _col2im(gcols, x.shape, 1, 1), gk
+
+    return _record(out, (x, kernel), back)
+
+
 # ---------------------------------------------------------------------------
 # composites
 
@@ -595,15 +676,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     e = exp(sub(x, Tensor(x.data.max(axis=axis, keepdims=True))))
     total = reduce_sum(e, (axis,))
     return div(e, reshape(total, tuple(1 if i == axis else s for i, s in enumerate(x.shape))))
-
-
-def upsample_nearest2x(x: Tensor) -> Tensor:
-    """Double both spatial extents of an NCHW tensor by pixel replication."""
-    if x.data.ndim != 4:
-        raise ShapeError("upsample_nearest2x", x.shape, detail="NCHW tensor required")
-    n, c, h, w = x.shape
-    out = Tensor(np.broadcast_to(x.data.reshape(n, c, h, 1, w, 1), (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w))
-    return _record(out, (x,), lambda g: (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),))
 
 
 # ---------------------------------------------------------------------------

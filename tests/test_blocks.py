@@ -223,6 +223,17 @@ class TestDecoder:
         with pytest.raises(ShapeError):
             B.decoder_block(Tensor(np.zeros((1, 4, 4, 4))), Tensor(np.zeros((1, 4, 16, 16))), p)
 
+    @pytest.mark.parametrize("x_shape,skip_shape", [
+        ((1, 3, 4, 4), (1, 4, 8, 8)),   # 3 + 4 channels, kernel expects 8
+        ((1, 4, 4, 4), (1, 5, 8, 8)),
+        ((4, 4, 4), (1, 4, 8, 8)),      # not NCHW
+        ((1, 4, 4, 4), (4, 8, 8)),
+    ])
+    def test_channel_and_rank_mismatch_rejected(self, x_shape, skip_shape):
+        p = B.make_decoder_params(rng(34), 4, 4, 4)
+        with pytest.raises(ShapeError):
+            B.decoder_block(Tensor(np.zeros(x_shape)), Tensor(np.zeros(skip_shape)), p)
+
     def test_grad_flows_to_both_inputs(self):
         p = B.make_decoder_params(rng(35), 2, 2, 2)
         x = Tensor(rng(36).normal(size=(1, 2, 2, 2)))

@@ -248,6 +248,16 @@ class TestLearnWeights:
         assert independence_objective(features, banks, w) < independence_objective(
             features, banks, SampleWeights.uniform(8))
 
+    def test_permuting_samples_permutes_weights(self):
+        # n = 32 is where the default learner moves the weights (by up to about
+        # 0.24). Permuting the rows changes the summation order of every
+        # reduction over samples, so the weights agree to rounding, not bitwise.
+        features = rng(31).normal(size=(32, 16))
+        perm = rng(32).permutation(32)
+        w = learn_weights(features, CimConfig()).w
+        assert np.max(np.abs(w - 1.0)) > 0.1
+        np.testing.assert_allclose(learn_weights(features[perm], CimConfig()).w, w[perm], rtol=0, atol=1e-9)
+
 
 class TestFeatureVars:
     def test_gap_of_constant_channels(self):

@@ -2,19 +2,24 @@
 
 The oracles below are the earlier implementations: group and layer norm as
 chains of reduce, reshape and broadcasting elementwise tape ops, the
-transformer block as a loop over images and heads, and the convolution
-backward over sliding windows with a strided scatter. Forwards must agree to 1e-12 relative. Gradients must agree to
-1e-12 * max|g| over the block's inputs and parameters: a bias that feeds a
-per-channel group norm has an analytic gradient of 0, so an entry-wise
-relative bound means nothing there.
+transformer block as a loop over images and heads, the convolution over
+sliding windows of a padded copy with a strided scatter back, and the
+decoder as a nearest 2x upsample, a concat and a 3x3 conv. Forwards must
+agree to 1e-12 relative. Gradients must agree to 1e-12 * max|g| over the
+block's inputs and parameters: a bias that feeds a per-channel group norm
+has an analytic gradient of 0, so an entry-wise relative bound means
+nothing there.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from causalseg import blocks as B
 from causalseg import tensor as T
-from causalseg.tensor import Tape, Tensor, backward
+from causalseg.errors import ShapeError
+from causalseg.tensor import Tape, Tensor, backward, grad_check
 
 
 def rng(seed):
@@ -120,6 +125,29 @@ def oracle_depthwise_grads(x, kernel, g, stride, pad):
     return oracle_col2im(gcols, x.shape, k, stride, pad), gk
 
 
+def oracle_conv2d(x, kernel, stride, pad):
+    return np.einsum("nchwij,ocij->nohw", oracle_sliding_cols(x, kernel.shape[2], stride, pad), kernel)
+
+
+def oracle_depthwise(x, kernel, stride, pad):
+    return np.einsum("nchwij,cij->nchw", oracle_sliding_cols(x, kernel.shape[1], stride, pad), kernel)
+
+
+def upsample_nearest2x(x):
+    """Double both spatial extents of an NCHW tensor by pixel replication."""
+    n, c, h, w = x.shape
+    out = Tensor(np.broadcast_to(x.data.reshape(n, c, h, 1, w, 1), (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w))
+    return T._record(out, (x,), lambda g: (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),))
+
+
+def oracle_decoder_block(x, skip, params):
+    y = T.concat([upsample_nearest2x(x), skip], axis=1)
+    y = T.conv2d(y, params["kernel"], stride=1, padding=1)
+    y = B.add_bias(y, params["bias"])
+    y = B.group_norm(y, params["scale"], params["shift"], B.norm_groups(params.out_channels))
+    return T.relu(y)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -137,9 +165,9 @@ def fwd_bwd(fn, inputs, params=()):
     return y.data, out
 
 
-def assert_same(fast, slow):
+def assert_same(fast, slow, y_atol=0.0):
     (y_fast, g_fast), (y_slow, g_slow) = fast, slow
-    np.testing.assert_allclose(y_fast, y_slow, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(y_fast, y_slow, rtol=1e-12, atol=y_atol)
     atol = 1e-12 * max(np.max(np.abs(g)) for g in g_slow)
     assert len(g_fast) == len(g_slow)
     for a, b in zip(g_fast, g_slow):
@@ -220,25 +248,125 @@ class TestTransformerBatched:
 # convolution
 
 
+# Kernel size, stride and padding. The first six cases are the original
+# grid; the rest cover k in {1, 3, 5}, stride in {1, 2} and pad in
+# {0, 1, 2, k}, where pad = k puts whole windows in the padding. The
+# einsum oracles sum in another order, so forwards are also allowed
+# 1e-12 * max|y| absolute on outputs near 0.
+CONV_CASES = [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0), (2, 2, 0), (3, 1, 0)]
+CONV_CASES += [(k, s, p) for k, s in itertools.product((1, 3, 5), (1, 2)) for p in sorted({0, 1, 2, k})
+               if (k, s, p) not in CONV_CASES]
+EXTENTS = [(6, 6), (7, 5)]  # even and odd
+
+
 class TestConvBackward:
-    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0), (2, 2, 0), (3, 1, 0)])
+    @pytest.mark.parametrize("k,stride,pad", CONV_CASES)
     def test_conv2d_matches_sliding_windows(self, k, stride, pad):
         g = rng(11)
-        x, kernel = g.normal(size=(2, 3, 6, 6)), g.normal(size=(4, 3, k, k))
-        kt = Tensor(kernel, requires_grad=True)
-        y, (gx, gw) = fwd_bwd(lambda t: T.conv2d(t, kt, stride, pad), [x], [kt])
-        ox, ow = oracle_conv2d_grads(x, kernel, rng(99).normal(size=y.shape), stride, pad)
-        atol = 1e-12 * max(np.max(np.abs(ox)), np.max(np.abs(ow)))
-        np.testing.assert_allclose(gx, ox, rtol=0, atol=atol)
-        np.testing.assert_allclose(gw, ow, rtol=0, atol=atol)
+        for h, w in EXTENTS:
+            x, kernel = g.normal(size=(2, 3, h, w)), g.normal(size=(4, 3, k, k))
+            kt = Tensor(kernel, requires_grad=True)
+            y, (gx, gw) = fwd_bwd(lambda t: T.conv2d(t, kt, stride, pad), [x], [kt])
+            expected = oracle_conv2d(x, kernel, stride, pad)
+            np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+            ox, ow = oracle_conv2d_grads(x, kernel, rng(99).normal(size=y.shape), stride, pad)
+            atol = 1e-12 * max(np.max(np.abs(ox)), np.max(np.abs(ow)))
+            np.testing.assert_allclose(gx, ox, rtol=0, atol=atol)
+            np.testing.assert_allclose(gw, ow, rtol=0, atol=atol)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_depthwise_matches_sliding_windows(self, stride):
         g = rng(12)
-        x, kernel = g.normal(size=(2, 3, 6, 6)), g.normal(size=(3, 3, 3))
-        kt = Tensor(kernel, requires_grad=True)
-        y, (gx, gk) = fwd_bwd(lambda t: T.depthwise_conv2d(t, kt, stride, 1), [x], [kt])
-        ox, ok = oracle_depthwise_grads(x, kernel, rng(99).normal(size=y.shape), stride, 1)
-        atol = 1e-12 * max(np.max(np.abs(ox)), np.max(np.abs(ok)))
-        np.testing.assert_allclose(gx, ox, rtol=0, atol=atol)
-        np.testing.assert_allclose(gk, ok, rtol=0, atol=atol)
+        for (h, w), k in itertools.product(EXTENTS, (1, 3, 5)):
+            for pad in sorted({0, 1, 2, k}):
+                x, kernel = g.normal(size=(2, 3, h, w)), g.normal(size=(3, k, k))
+                kt = Tensor(kernel, requires_grad=True)
+                y, (gx, gk) = fwd_bwd(lambda t: T.depthwise_conv2d(t, kt, stride, pad), [x], [kt])
+                expected = oracle_depthwise(x, kernel, stride, pad)
+                np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+                ox, ok = oracle_depthwise_grads(x, kernel, rng(99).normal(size=y.shape), stride, pad)
+                atol = 1e-12 * max(np.max(np.abs(ox)), np.max(np.abs(ok)))
+                np.testing.assert_allclose(gx, ox, rtol=0, atol=atol)
+                np.testing.assert_allclose(gk, ok, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("op", ["conv2d", "upsample_conv2d"])
+    def test_constant_input_gets_no_gradient(self, op, monkeypatch):
+        g = rng(13)
+        x, kernel = g.normal(size=(2, 3, 4, 5)), g.normal(size=(4, 3, 3, 3))
+        conv = (lambda t, k: T.conv2d(t, k, 1, 1)) if op == "conv2d" else T.upsample_conv2d
+        scatters = []
+        col2im = T._col2im
+        monkeypatch.setattr(T, "_col2im", lambda *a: scatters.append(a) or col2im(*a))
+        kernel_grads = []
+        for x_requires_grad in (True, False):
+            xt, kt = Tensor(x, requires_grad=x_requires_grad), Tensor(kernel, requires_grad=True)
+            with Tape() as tape:
+                loss = T.total_sum(T.mul(conv(xt, kt), T.relu(conv(xt, kt))))
+            grads = backward(loss, tape)
+            assert (xt in grads) == x_requires_grad
+            assert len(scatters) == (2 if x_requires_grad else 0)
+            scatters.clear()
+            kernel_grads.append(grads[kt])
+        np.testing.assert_array_equal(kernel_grads[1], kernel_grads[0])
+
+
+# ---------------------------------------------------------------------------
+# sub-pixel decoder
+
+
+class TestSubPixelDecoder:
+    def test_upsample_nearest(self):
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
+        out = upsample_nearest2x(x)
+        expected = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float)
+        np.testing.assert_array_equal(out.data[0, 0], expected)
+
+    def test_upsample_grad(self):
+        g = rng(7)
+        x = Tensor(g.normal(size=(2, 3, 2, 3)))
+        weight = Tensor(g.normal(size=(2, 3, 4, 6)))
+        assert grad_check(lambda t: T.total_sum(T.mul(upsample_nearest2x(t), weight)), x) < 1e-8
+
+    @pytest.mark.parametrize("n,c", [(1, 1), (1, 4), (3, 1), (3, 4)])
+    @pytest.mark.parametrize("h,w", [(3, 3), (4, 4), (2, 5), (5, 4), (1, 1)])
+    def test_matches_upsample_then_conv(self, n, c, h, w):
+        g = rng(14)
+        x = g.normal(size=(n, c, h, w))
+        kt = Tensor(g.normal(size=(3, c, 3, 3)), requires_grad=True)
+        fast = fwd_bwd(lambda t: T.upsample_conv2d(t, kt), [x], [kt])
+        slow = fwd_bwd(lambda t: T.conv2d(upsample_nearest2x(t), kt, 1, 1), [x], [kt])
+        assert fast[0].shape == (n, 3, 2 * h, 2 * w)
+        assert_same(fast, slow)
+
+    @pytest.mark.parametrize("up,skip_c,out", [(16, 8, 8), (8, 3, 8)])
+    def test_decoder_matches_composite(self, up, skip_c, out):
+        g = rng(15)
+        x, skip = g.normal(size=(2, up, 4, 4)), g.normal(size=(2, skip_c, 8, 8))
+        p = B.make_decoder_params(rng(16), up, skip_c, out)
+        params = list(p.tensors().values())
+        fast = fwd_bwd(lambda t, s: B.decoder_block(t, s, p), [x, skip], params)
+        slow = fwd_bwd(lambda t, s: oracle_decoder_block(t, s, p), [x, skip], params)
+        # The conv sums in another order here, and the group norm's centring
+        # turns that rounding into a large relative error on outputs near 0,
+        # so the forward bound is relative to the largest output.
+        assert_same(fast, slow, y_atol=1e-12 * np.max(np.abs(slow[0])))
+
+    def test_grad_check(self):
+        g = rng(17)
+        x, kernel = g.normal(size=(2, 3, 3, 4)), g.normal(size=(2, 3, 3, 3))
+        weight = Tensor(g.normal(size=(2, 2, 6, 8)))
+        assert grad_check(lambda t: T.total_sum(T.mul(T.upsample_conv2d(t, Tensor(kernel)), weight)),
+                          Tensor(x)) < 1e-8
+        assert grad_check(lambda t: T.total_sum(T.mul(T.upsample_conv2d(Tensor(x), t), weight)),
+                          Tensor(kernel)) < 1e-8
+
+    @pytest.mark.parametrize("x_shape,k_shape", [
+        ((1, 3, 4, 4), (2, 3, 5, 5)),   # not 3x3
+        ((1, 3, 4, 4), (2, 3, 1, 1)),
+        ((1, 3, 4, 4), (2, 4, 3, 3)),   # channel mismatch
+        ((3, 4, 4), (2, 3, 3, 3)),      # not NCHW
+        ((1, 3, 4, 4), (3, 3, 3)),
+    ])
+    def test_shape_errors(self, x_shape, k_shape):
+        with pytest.raises(ShapeError):
+            T.upsample_conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)))

@@ -216,18 +216,6 @@ class TestShapeOps:
         with pytest.raises(ShapeError):
             T.concat([Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 2, 5, 4)))], axis=1)
 
-    def test_upsample_nearest(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-        out = T.upsample_nearest2x(x)
-        expected = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float)
-        np.testing.assert_array_equal(out.data[0, 0], expected)
-
-    def test_upsample_grad(self):
-        g = rng(7)
-        x = Tensor(g.normal(size=(2, 3, 2, 3)))
-        weight = Tensor(g.normal(size=(2, 3, 4, 6)))
-        assert grad_check(lambda t: T.total_sum(T.mul(T.upsample_nearest2x(t), weight)), x) < 1e-8
-
 
 class TestBackward:
     def test_sum_grad_is_ones(self):
