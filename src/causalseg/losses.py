@@ -50,13 +50,8 @@ def _check_pair(op: str, probs: Tensor, target: np.ndarray) -> np.ndarray:
 
 def _true_class_prob(probs: Tensor, fg: np.ndarray) -> Tensor:
     """Per-pixel probability assigned to the correct class, clamped away from 0/1."""
-    n, _, h, w = probs.shape
-    p_bg = T.reshape(T.slice_axis(probs, 1, 0, 1), (n, h, w))
-    p_fg = T.reshape(T.slice_axis(probs, 1, 1, 2), (n, h, w))
-    fg_t = Tensor(fg)
-    bg_t = Tensor(1.0 - fg)
-    p_true = T.add(T.mul(p_fg, fg_t), T.mul(p_bg, bg_t))
-    return T.clip(p_true, PROB_EPS, 1.0 - PROB_EPS)
+    one_hot = Tensor(np.stack([1.0 - fg, fg], axis=1))  # one product per pixel is exactly 0, so the sum is exact
+    return T.clip(T.reduce_sum(T.mul(probs, one_hot), (1,)), PROB_EPS, 1.0 - PROB_EPS)
 
 
 def ce_per_sample(probs: Tensor, target: np.ndarray) -> Tensor:
@@ -136,11 +131,3 @@ def dsc(pred: np.ndarray, gt: np.ndarray) -> float:
         return 100.0
     return 100.0 * 2.0 * np.count_nonzero(pred & gt) / total
 
-
-def summarize(values) -> tuple[float, float]:
-    """Per-image mean and sample standard deviation (0 for fewer than 2 values)."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise DomainError("summarize: no values")
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), std

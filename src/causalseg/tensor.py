@@ -290,7 +290,8 @@ def power(a: Tensor, exponent: float) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # piecewise form avoids exp overflow for large |x|
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s)
     return _record(out, (a,), lambda g: (g * out.data * (1.0 - out.data),))
 
@@ -612,6 +613,19 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 
     return _record(out, (x, kernel), back)
 
 
+# ---------------------------------------------------------------------------
+# composites
+
+
+def softmax(x: Tensor, axis: int) -> Tensor:
+    """Numerically stable softmax along one axis (max shift is a constant)."""
+    rank = x.data.ndim
+    axis = axis + rank if axis < 0 else axis
+    e = exp(sub(x, Tensor(x.data.max(axis=axis, keepdims=True))))
+    total = reduce_sum(e, (axis,))
+    return div(e, reshape(total, tuple(1 if i == axis else s for i, s in enumerate(x.shape))))
+
+
 def _parity_fold() -> np.ndarray:
     """(9, 36) map from a 3x3 kernel to four parity kernels over low-res 3x3 windows.
 
@@ -629,11 +643,11 @@ _PARITY_FOLD = _parity_fold()
 
 
 def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
-    """3x3 stride-1 pad-1 conv of the nearest 2x upsample of NCHW ``x``, one node.
+    """3x3 stride-1 pad-1 conv of the nearest 2x upsample of NCHW ``x``.
 
     A sub-pixel convolution (Shi et al., arXiv 1609.05158): the kernel folds
-    into four parity kernels, one GEMM runs them on a 3x3 im2col of ``x`` at
-    low resolution, and a pixel shuffle interleaves the four outputs into
+    into four parity kernels, one 3x3 ``conv2d`` runs them on ``x`` at low
+    resolution, and a pixel shuffle interleaves the four outputs into
     (N, O, 2H, 2W). The upsampled tensor is never built.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -644,38 +658,11 @@ def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError("upsample_conv2d", kernel.shape, detail="3x3 kernel required")
     if ck != c:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail=f"kernel expects {ck} channels, input has {c}")
-
-    cols = _im2col(x.data, 3, 1, 1, h, w).reshape(n, c * 9, h * w)
-    # (O*C, 9) @ (9, 36) -> (O, C, a, b, 3, 3) -> rows (a, b, O), columns (C, 3, 3)
-    wf = (kernel.data.reshape(o * c, 9) @ _PARITY_FOLD).reshape(o, c, 4, 9)
-    wf = wf.transpose(2, 0, 1, 3).reshape(4 * o, c * 9)
-    y = (wf @ cols).reshape(n, 2, 2, o, h, w)
-    out = Tensor(y.transpose(0, 3, 4, 1, 5, 2).reshape(n, o, 2 * h, 2 * w))
-
-    def back(g):
-        g2 = g.reshape(n, o, h, 2, w, 2).transpose(0, 3, 5, 1, 2, 4).reshape(n, 4 * o, h * w)
-        gwf = (g2 @ cols.transpose(0, 2, 1)).sum(axis=0)
-        gk = gwf.reshape(4, o, c, 9).transpose(1, 2, 0, 3).reshape(o * c, 36) @ _PARITY_FOLD.T
-        gk = gk.reshape(kernel.shape)
-        if not x.requires_grad:
-            return None, gk
-        gcols = (wf.T @ g2).reshape(n, c, 3, 3, h, w)
-        return _col2im(gcols, x.shape, 1, 1), gk
-
-    return _record(out, (x, kernel), back)
-
-
-# ---------------------------------------------------------------------------
-# composites
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Numerically stable softmax along one axis (max shift is a constant)."""
-    rank = x.data.ndim
-    axis = axis + rank if axis < 0 else axis
-    e = exp(sub(x, Tensor(x.data.max(axis=axis, keepdims=True))))
-    total = reduce_sum(e, (axis,))
-    return div(e, reshape(total, tuple(1 if i == axis else s for i, s in enumerate(x.shape))))
+    # (O*C, 9) @ (9, 36) -> (O, C, a, b, 3, 3) -> parity kernels (a, b, O) x (C, 3, 3)
+    folded = reshape(matmul(reshape(kernel, (o * c, 9)), Tensor(_PARITY_FOLD)), (o, c, 4, 9))
+    folded = reshape(transpose(folded, (2, 0, 1, 3)), (4 * o, c, 3, 3))
+    y = reshape(conv2d(x, folded, 1, 1), (n, 2, 2, o, h, w))
+    return reshape(transpose(y, (0, 3, 4, 1, 5, 2)), (n, o, 2 * h, 2 * w))
 
 
 # ---------------------------------------------------------------------------

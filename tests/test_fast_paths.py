@@ -368,5 +368,27 @@ class TestSubPixelDecoder:
         ((1, 3, 4, 4), (3, 3, 3)),
     ])
     def test_shape_errors(self, x_shape, k_shape):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError) as err:
             T.upsample_conv2d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(k_shape)))
+        assert err.value.op == "upsample_conv2d"
+
+    # Metamorphic: a nearest 2x upsample and a pad-1 3x3 conv both commute
+    # with a flip of H or W once the kernel is flipped too, and so do the
+    # bias, group norm and ReLU of the decoder.
+    @pytest.mark.parametrize("axis", [2, 3])
+    def test_flip_equivariant(self, axis):
+        g = rng(18)
+        x, kernel = g.normal(size=(2, 3, 4, 5)), g.normal(size=(4, 3, 3, 3))
+        y = T.upsample_conv2d(Tensor(x), Tensor(kernel)).data
+        y_flipped = T.upsample_conv2d(Tensor(np.flip(x, axis)), Tensor(np.flip(kernel, axis))).data
+        np.testing.assert_allclose(y_flipped, np.flip(y, axis), rtol=1e-12, atol=1e-12 * np.max(np.abs(y)))
+
+    @pytest.mark.parametrize("axis", [2, 3])
+    def test_decoder_flip_equivariant(self, axis):
+        g = rng(19)
+        x, skip = g.normal(size=(2, 8, 4, 5)), g.normal(size=(2, 4, 8, 10))
+        p = B.make_decoder_params(rng(20), 8, 4, 8)
+        y = B.decoder_block(Tensor(x), Tensor(skip), p).data
+        p.params["kernel"] = Tensor(np.flip(p["kernel"].data, axis))
+        y_flipped = B.decoder_block(Tensor(np.flip(x, axis)), Tensor(np.flip(skip, axis)), p).data
+        np.testing.assert_allclose(y_flipped, np.flip(y, axis), rtol=1e-12, atol=1e-12 * np.max(np.abs(y)))

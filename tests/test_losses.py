@@ -12,7 +12,6 @@ from causalseg.losses import (
     dsc,
     focal_loss,
     miou,
-    summarize,
     total_loss,
 )
 from causalseg.tensor import Tensor, grad_check
@@ -204,12 +203,6 @@ class TestMetrics:
             expected_dsc = 100.0 if pu + gu == 0 else 100.0 * 2 * inter / (pu + gu)
             assert miou(pred, gt) == pytest.approx(expected_miou, abs=1e-12)
             assert dsc(pred, gt) == pytest.approx(expected_dsc, abs=1e-12)
-
-    def test_summarize(self):
-        mean, std = summarize([1.0, 2.0, 3.0])
-        assert mean == 2.0 and std == pytest.approx(1.0)
-        mean, std = summarize([5.0])
-        assert mean == 5.0 and std == 0.0
 
 
 class TestLossGradients:
