@@ -142,7 +142,7 @@ def make_mbconv_params(rng, in_channels: int, out_channels: int, stride: int) ->
     p.params["expand_kernel"] = _uniform(rng, (hidden, in_channels, 1, 1), in_channels)
     p.params["expand_scale"] = _ones((hidden,))
     p.params["expand_shift"] = _zeros((hidden,))
-    p.params["dw_kernel"] = _uniform(rng, (hidden, 3, 3), 9)
+    p.params["dw_kernel"] = _uniform(rng, (hidden, 1, 3, 3), 9)
     p.params["dw_scale"] = _ones((hidden,))
     p.params["dw_shift"] = _zeros((hidden,))
     p.params["project_kernel"] = _uniform(rng, (out_channels, hidden, 1, 1), hidden)
@@ -166,7 +166,7 @@ def mbconv(x: Tensor, params: BlockParams, stride: int) -> Tensor:
     y = T.conv2d(x, params["expand_kernel"])
     y = group_norm(y, params["expand_scale"], params["expand_shift"], norm_groups(hidden))
     y = T.relu(y)
-    y = T.depthwise_conv2d(y, params["dw_kernel"], stride=stride, padding=1)
+    y = T.conv2d(y, params["dw_kernel"], stride=stride, padding=1)
     y = group_norm(y, params["dw_scale"], params["dw_shift"], norm_groups(hidden))
     y = T.relu(y)
     y = T.conv2d(y, params["project_kernel"])

@@ -176,6 +176,8 @@ def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:
     scores worse than uniform weights.
     """
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ShapeError("learn_weights", features.shape, detail="(samples, features) matrix required")
     n, m = features.shape
     if n < 2 or m < 2:
         raise DegenerateInputError("learn_weights: need n >= 2 samples and m >= 2 features")

@@ -113,6 +113,13 @@ class TestCnnDown:
         with pytest.raises(ShapeError):
             B.cnn_down(Tensor(np.zeros((1, 2, 7, 8))), p)
 
+    def test_channel_mismatch_rejected(self):
+        # 6 channels into a 3 -> 8 kernel: conv2d infers no group count from it.
+        p = B.make_cnn_down_params(rng(9), 3, 8)
+        with pytest.raises(ShapeError) as err:
+            B.cnn_down(Tensor(np.zeros((1, 6, 8, 8))), p)
+        assert err.value.op == "conv2d"
+
     def test_grad_check(self):
         p = B.make_cnn_down_params(rng(10), 2, 4)
         x = Tensor(rng(11).normal(size=(1, 2, 4, 4)))

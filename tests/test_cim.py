@@ -248,6 +248,12 @@ class TestLearnWeights:
         assert independence_objective(features, banks, w) < independence_objective(
             features, banks, SampleWeights.uniform(8))
 
+    @pytest.mark.parametrize("shape", [(8,), (4, 2, 3)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ShapeError) as err:
+            learn_weights(np.ones(shape), CimConfig())
+        assert err.value.op == "learn_weights"
+
     def test_permuting_samples_permutes_weights(self):
         # n = 32 is where the default learner moves the weights (by up to about
         # 0.24). Permuting the rows changes the summation order of every

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from causalseg import blocks as B
+from causalseg import losses as L
 from causalseg import tensor as T
 from causalseg.errors import ShapeError
 from causalseg.tensor import Tape, Tensor, backward, grad_check
@@ -137,7 +138,7 @@ def upsample_nearest2x(x):
     """Double both spatial extents of an NCHW tensor by pixel replication."""
     n, c, h, w = x.shape
     out = Tensor(np.broadcast_to(x.data.reshape(n, c, h, 1, w, 1), (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w))
-    return T._record(out, (x,), lambda g: (g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),))
+    return T._record(out, (x, lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))))
 
 
 def oracle_decoder_block(x, skip, params):
@@ -280,20 +281,21 @@ class TestConvBackward:
         for (h, w), k in itertools.product(EXTENTS, (1, 3, 5)):
             for pad in sorted({0, 1, 2, k}):
                 x, kernel = g.normal(size=(2, 3, h, w)), g.normal(size=(3, k, k))
-                kt = Tensor(kernel, requires_grad=True)
-                y, (gx, gk) = fwd_bwd(lambda t: T.depthwise_conv2d(t, kt, stride, pad), [x], [kt])
+                kt = Tensor(kernel[:, None], requires_grad=True)
+                y, (gx, gk) = fwd_bwd(lambda t: T.conv2d(t, kt, stride, pad), [x], [kt])
                 expected = oracle_depthwise(x, kernel, stride, pad)
                 np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
                 ox, ok = oracle_depthwise_grads(x, kernel, rng(99).normal(size=y.shape), stride, pad)
                 atol = 1e-12 * max(np.max(np.abs(ox)), np.max(np.abs(ok)))
                 np.testing.assert_allclose(gx, ox, rtol=0, atol=atol)
-                np.testing.assert_allclose(gk, ok, rtol=0, atol=atol)
+                np.testing.assert_allclose(gk, ok[:, None], rtol=0, atol=atol)
 
-    @pytest.mark.parametrize("op", ["conv2d", "upsample_conv2d"])
+    @pytest.mark.parametrize("op", ["conv2d", "depthwise", "upsample_conv2d"])
     def test_constant_input_gets_no_gradient(self, op, monkeypatch):
         g = rng(13)
-        x, kernel = g.normal(size=(2, 3, 4, 5)), g.normal(size=(4, 3, 3, 3))
-        conv = (lambda t, k: T.conv2d(t, k, 1, 1)) if op == "conv2d" else T.upsample_conv2d
+        x, kernel = g.normal(size=(2, 3, 4, 5)), g.normal(size=(3, 1, 3, 3) if op == "depthwise" else (4, 3, 3, 3))
+        conv = {"conv2d": lambda t, k: T.conv2d(t, k, 1, 1), "depthwise": lambda t, k: T.conv2d(t, k, 2, 1),
+                "upsample_conv2d": T.upsample_conv2d}[op]
         scatters = []
         col2im = T._col2im
         monkeypatch.setattr(T, "_col2im", lambda *a: scatters.append(a) or col2im(*a))
@@ -308,6 +310,40 @@ class TestConvBackward:
             scatters.clear()
             kernel_grads.append(grads[kt])
         np.testing.assert_array_equal(kernel_grads[1], kernel_grads[0])
+
+
+class TestConstantEdges:
+    def test_no_edge_runs_for_a_constant_input(self):
+        """The decoder and the three losses under one tape: every edge from a
+        constant (the sub-pixel fold, the skip input, the loss masks) is
+        swapped for one that raises, and backward neither calls one nor
+        changes a gradient."""
+
+        def constant_edge(g):
+            raise AssertionError("gradient computed for a constant input")
+
+        def run(patch):
+            g = rng(21)
+            x = Tensor(g.normal(size=(2, 8, 4, 4)), requires_grad=True)
+            skip = Tensor(g.normal(size=(2, 4, 8, 8)))
+            target = g.integers(0, 2, size=(2, 8, 8))
+            p = B.make_decoder_params(rng(22), 8, 4, 2)
+            cfg = L.LossConfig()
+            with Tape() as tape:
+                probs = T.softmax(B.decoder_block(x, skip, p), axis=1)
+                loss = L.total_loss(T.total_mean(L.ce_per_sample(probs, target)), L.dice_loss(probs, target, cfg),
+                                    L.focal_loss(probs, target, cfg), cfg)
+            constants = [t for node in tape._nodes for t, _ in node.edges if not t.requires_grad]
+            assert any(t.data is T._PARITY_FOLD for t in constants) and any(t is skip for t in constants)
+            if patch:
+                for node in tape._nodes:
+                    node.edges = tuple((t, fn if t.requires_grad else constant_edge) for t, fn in node.edges)
+            grads = backward(loss, tape)
+            assert skip not in grads
+            return [grads[t] for t in (x, *p.tensors().values())]
+
+        for patched, plain in zip(run(True), run(False)):
+            np.testing.assert_array_equal(patched, plain)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,22 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
 
+    @pytest.mark.parametrize("k_shape", [(3, 1, 3, 3), (4, 3, 3, 3)])
+    @pytest.mark.parametrize("stride,padding", [(0, 1), (1, -1)])
+    def test_invalid_stride_or_padding(self, k_shape, stride, padding):
+        # Without the check, stride 0 divides by zero in the output extent and
+        # padding -1 crops the input silently.
+        with pytest.raises(ShapeError) as err:
+            T.conv2d(Tensor(np.ones((1, 3, 5, 5))), Tensor(np.ones(k_shape)), stride, padding)
+        assert err.value.op == "conv2d"
+
+    @pytest.mark.parametrize("k_shape", [(6, 1, 3, 3), (3, 2, 3, 3), (4, 1, 3, 3)])
+    def test_only_dense_or_depthwise_kernels(self, k_shape):
+        # Neither (C*m, 1, K, K) channel multipliers nor other group counts.
+        with pytest.raises(ShapeError) as err:
+            T.conv2d(Tensor(np.ones((1, 3, 5, 5))), Tensor(np.ones(k_shape)), 1, 1)
+        assert err.value.op == "conv2d"
+
     def test_matches_naive_loop(self):
         g = rng(4)
         x, k = g.normal(size=(2, 3, 6, 6)), g.normal(size=(4, 3, 3, 3))
@@ -174,7 +190,7 @@ class TestConv2d:
     def test_depthwise_matches_naive(self):
         g = rng(5)
         x, k = g.normal(size=(2, 3, 5, 5)), g.normal(size=(3, 3, 3))
-        out = T.depthwise_conv2d(Tensor(x), Tensor(k), stride=1, padding=1).data
+        out = T.conv2d(Tensor(x), Tensor(k[:, None]), stride=1, padding=1).data
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         ref = np.zeros_like(out)
         for n in range(2):
@@ -192,6 +208,12 @@ class TestReduce:
     def test_empty_axes_identity(self):
         x = Tensor([1.0, 2.0])
         assert T.reduce_sum(x, ()) is x
+
+    @pytest.mark.parametrize("axis", [2, -3])
+    def test_softmax_axis_out_of_range(self, axis):
+        with pytest.raises(ShapeError) as err:
+            T.softmax(Tensor(np.ones((2, 3))), axis=axis)
+        assert err.value.op == "softmax"
 
 
 class TestShapeOps:
@@ -357,9 +379,9 @@ class TestGradCheck:
     def test_depthwise_grads(self):
         g = rng(12)
         x = Tensor(g.normal(size=(1, 3, 4, 4)))
-        k = Tensor(g.normal(size=(3, 3, 3)))
-        assert grad_check(lambda t: T.total_sum(T.mul(T.depthwise_conv2d(t, k, 1, 1), t)), x) < 1e-8
-        assert grad_check(lambda t: T.total_sum(T.depthwise_conv2d(x, t, 2, 1)), k) < 1e-8
+        k = Tensor(g.normal(size=(3, 3, 3))[:, None])
+        assert grad_check(lambda t: T.total_sum(T.mul(T.conv2d(t, k, 1, 1), t)), x) < 1e-8
+        assert grad_check(lambda t: T.total_sum(T.conv2d(x, t, 2, 1)), k) < 1e-8
 
     def test_matmul_concat_slice_grads(self):
         g = rng(13)
