@@ -408,12 +408,15 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             if ax != axis and p.shape[ax] != parts[0].shape[ax]:
                 raise ShapeError("concat", parts[0].shape, p.shape, detail=f"axis {ax} differs")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def grad_part(i):
-        slicer = [slice(None)] * rank
-        slicer[axis] = slice(offsets[i], offsets[i + 1])
-        return lambda g: g[tuple(slicer)].copy()
+        def back(g):
+            start = sum(p.shape[axis] for p in parts[:i])
+            slicer = [slice(None)] * rank
+            slicer[axis] = slice(start, start + parts[i].shape[axis])
+            return g[tuple(slicer)].copy()
+
+        return back
 
     return _record(out, *((p, grad_part(i)) for i, p in enumerate(parts)))
 
