@@ -570,7 +570,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     gmat = (n, groups, o // groups, ho * wo)  # the output gradient as per-group GEMM outputs
 
     def grad_x(g):
-        gcols = wmat.transpose(0, 2, 1) @ g.reshape(gmat)
+        wt, gg = wmat.transpose(0, 2, 1), g.reshape(gmat)
+        # One output channel per group (depthwise) makes the GEMM's inner
+        # dimension 1: numpy would run n * groups tiny products, while the
+        # broadcast product gives the same values at a fraction of the cost.
+        gcols = wt * gg if o == groups else wt @ gg
         return _col2im(gcols.reshape(n, c, kh, kw, ho, wo), x.shape, stride, padding)
 
     def grad_kernel(g):

@@ -264,8 +264,8 @@ class TestConvBackward:
     @pytest.mark.parametrize("k,stride,pad", CONV_CASES)
     def test_conv2d_matches_sliding_windows(self, k, stride, pad):
         g = rng(11)
-        for h, w in EXTENTS:
-            x, kernel = g.normal(size=(2, 3, h, w)), g.normal(size=(4, 3, k, k))
+        for (h, w), o in itertools.product(EXTENTS, (4, 1)):  # o = 1 takes the one-output-per-group branch
+            x, kernel = g.normal(size=(2, 3, h, w)), g.normal(size=(o, 3, k, k))
             kt = Tensor(kernel, requires_grad=True)
             y, (gx, gw) = fwd_bwd(lambda t: T.conv2d(t, kt, stride, pad), [x], [kt])
             expected = oracle_conv2d(x, kernel, stride, pad)
