@@ -117,9 +117,8 @@ def simam(x: Tensor, cfg: SimamConfig) -> Tensor:
 
 def make_cnn_down_params(rng, in_channels: int, out_channels: int) -> BlockParams:
     p = BlockParams(in_channels, out_channels, stride=2)
-    fan = in_channels * 9
-    p.params["kernel"] = _uniform(rng, (out_channels, in_channels, 3, 3), fan)
-    p.params["bias"] = _uniform(rng, (out_channels,), fan)
+    p.params["kernel"] = _uniform(rng, (out_channels, in_channels, 3, 3), in_channels * 9)
+    # No conv bias: the group norm's per-channel shift takes its place.
     p.params["scale"] = _ones((out_channels,))
     p.params["shift"] = _zeros((out_channels,))
     return p
@@ -127,11 +126,12 @@ def make_cnn_down_params(rng, in_channels: int, out_channels: int) -> BlockParam
 
 def cnn_down(x: Tensor, params: BlockParams) -> Tensor:
     """3x3 stride-2 convolution (pad 1) followed by group norm and ReLU."""
-    n, c, h, w = x.shape
+    if x.data.ndim != 4:
+        raise ShapeError("cnn_down", x.shape, detail="NCHW tensor required")
+    h, w = x.shape[2:]
     if h < 2 or w < 2 or h % 2 or w % 2:
         raise ShapeError("cnn_down", x.shape, detail="spatial extents must be even and >= 2")
     y = T.conv2d(x, params["kernel"], stride=2, padding=1)
-    y = add_bias(y, params["bias"])
     y = group_norm(y, params["scale"], params["shift"], norm_groups(params.out_channels))
     return T.relu(y)
 
@@ -236,6 +236,8 @@ def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int,
     attention branch. When ``attn_out`` is given, the per-image, per-head
     softmax matrices are appended to it as numpy arrays.
     """
+    if x.data.ndim != 4:
+        raise ShapeError("transformer_block", x.shape, detail="NCHW tensor required")
     n, c, h, w = x.shape
     if h % patch or w % patch:
         raise ShapeError("transformer_block", x.shape, detail=f"patch {patch} does not divide spatial extents")
@@ -271,9 +273,8 @@ def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int,
 def make_decoder_params(rng, up_channels: int, skip_channels: int, out_channels: int) -> BlockParams:
     cin = up_channels + skip_channels
     p = BlockParams(cin, out_channels, stride=1)
-    fan = cin * 9
-    p.params["kernel"] = _uniform(rng, (out_channels, cin, 3, 3), fan)
-    p.params["bias"] = _uniform(rng, (out_channels,), fan)
+    p.params["kernel"] = _uniform(rng, (out_channels, cin, 3, 3), cin * 9)
+    # No conv bias: the group norm's per-channel shift takes its place.
     p.params["scale"] = _ones((out_channels,))
     p.params["shift"] = _zeros((out_channels,))
     return p
@@ -297,6 +298,5 @@ def decoder_block(x: Tensor, skip: Tensor, params: BlockParams) -> Tensor:
         raise ShapeError("decoder_block", x.shape, skip.shape, detail=f"kernel expects {cin} channels in total")
     y = T.add(T.upsample_conv2d(x, T.slice_axis(kernel, 1, 0, cu)),
               T.conv2d(skip, T.slice_axis(kernel, 1, cu, cin), stride=1, padding=1))
-    y = add_bias(y, params["bias"])
     y = group_norm(y, params["scale"], params["shift"], norm_groups(params.out_channels))
     return T.relu(y)

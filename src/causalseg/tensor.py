@@ -395,12 +395,12 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if len(parts) == 0:
         raise ShapeError("concat", (), detail="no parts")
-    if len(parts) == 1:
-        return parts[0]
     rank = parts[0].data.ndim
     axis = axis + rank if axis < 0 else axis
     if not 0 <= axis < rank:
         raise ShapeError("concat", parts[0].shape, detail=f"axis {axis} out of range")
+    if len(parts) == 1:
+        return parts[0]
     for p in parts[1:]:
         if p.data.ndim != rank:
             raise ShapeError("concat", parts[0].shape, p.shape, detail="rank mismatch")
@@ -571,9 +571,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
     def grad_x(g):
         wt, gg = wmat.transpose(0, 2, 1), g.reshape(gmat)
-        # One output channel per group (depthwise) makes the GEMM's inner
-        # dimension 1: numpy would run n * groups tiny products, while the
-        # broadcast product gives the same values at a fraction of the cost.
+        # With one output channel per group (depthwise) the GEMM's inner dimension
+        # is 1 and numpy runs n * groups tiny products; the broadcast is equal.
         gcols = wt * gg if o == groups else wt @ gg
         return _col2im(gcols.reshape(n, c, kh, kw, ho, wo), x.shape, stride, padding)
 

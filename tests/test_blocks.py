@@ -96,6 +96,17 @@ class TestGroupNorm:
         grouped = out.reshape(2, 4, 2, 4, 4)
         np.testing.assert_allclose(grouped.mean(axis=(2, 3, 4)), 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 100.0])
+    def test_per_channel_constant_cancels_with_one_channel_per_group(self, magnitude):
+        # Why cnn_down and decoder_block have no conv bias: with one channel
+        # per group, the group mean removes any per-channel constant.
+        g = rng(12)
+        x, scale, shift = g.normal(size=(2, 8, 4, 4)), Tensor(g.normal(size=8)), Tensor(g.normal(size=8))
+        bias = magnitude * g.normal(size=(1, 8, 1, 1))
+        expected = B.group_norm(Tensor(x), scale, shift, 8).data
+        out = B.group_norm(Tensor(x + bias), scale, shift, 8).data
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
 
 class TestCnnDown:
     def test_shape(self):
@@ -107,6 +118,19 @@ class TestCnnDown:
         p = B.make_cnn_down_params(rng(8), 2, 4)
         out = B.cnn_down(Tensor(np.zeros((1, 2, 8, 8))), p)
         assert np.all(np.isfinite(out.data))
+
+    def test_params_and_node_count(self):
+        p = B.make_cnn_down_params(rng(12), 3, 8)
+        assert set(p.tensors()) == {"kernel", "scale", "shift"}
+        with T.Tape() as tape:
+            B.cnn_down(Tensor(rng(13).normal(size=(2, 3, 8, 8))), p)
+        assert len(tape) == 3  # conv, group norm, ReLU
+
+    def test_rank_rejected(self):
+        p = B.make_cnn_down_params(rng(9), 4, 4)
+        with pytest.raises(ShapeError) as err:
+            B.cnn_down(Tensor(np.ones((3, 4, 4))), p)
+        assert err.value.op == "cnn_down"
 
     def test_odd_extent_rejected(self):
         p = B.make_cnn_down_params(rng(9), 2, 4)
@@ -197,6 +221,12 @@ class TestTransformer:
         assert counts[1] == counts[2] == counts[4]
         assert counts[4] < 50
 
+    def test_rank_rejected(self):
+        p = B.make_transformer_params(rng(26), 4, 8, patch=2, heads=2)
+        with pytest.raises(ShapeError) as err:
+            B.transformer_block(Tensor(np.ones((4, 8, 8))), p, patch=2, heads=2)
+        assert err.value.op == "transformer_block"
+
     def test_indivisible_patch_rejected(self):
         p = B.make_transformer_params(rng(26), 4, 8, patch=2, heads=2)
         with pytest.raises(ShapeError):
@@ -224,6 +254,13 @@ class TestDecoder:
         x = Tensor(rng(32).normal(size=(1, 32, 8, 8)))
         skip = Tensor(rng(33).normal(size=(1, 16, 16, 16)))
         assert B.decoder_block(x, skip, p).shape == (1, 16, 16, 16)
+
+    def test_params_and_node_count(self):
+        p = B.make_decoder_params(rng(38), 4, 4, 8)
+        assert set(p.tensors()) == {"kernel", "scale", "shift"}
+        with T.Tape() as tape:
+            B.decoder_block(Tensor(rng(39).normal(size=(2, 4, 4, 4))), Tensor(rng(40).normal(size=(2, 4, 8, 8))), p)
+        assert len(tape) == 15
 
     def test_spatial_mismatch_rejected(self):
         p = B.make_decoder_params(rng(34), 4, 4, 4)

@@ -226,6 +226,12 @@ class TestShapeOps:
         a = Tensor(np.ones((2, 2)))
         assert T.concat([a], axis=0) is a
 
+    @pytest.mark.parametrize("n_parts", [1, 2])
+    def test_concat_axis_out_of_range(self, n_parts):
+        with pytest.raises(ShapeError) as err:
+            T.concat([Tensor(np.ones((2, 2)))] * n_parts, axis=7)
+        assert err.value.op == "concat"
+
     def test_concat_split_roundtrip(self):
         g = rng(6)
         a, b = g.normal(size=(1, 2, 3, 3)), g.normal(size=(1, 5, 3, 3))
