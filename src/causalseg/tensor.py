@@ -396,9 +396,9 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if len(parts) == 0:
         raise ShapeError("concat", (), detail="no parts")
     rank = parts[0].data.ndim
-    axis = axis + rank if axis < 0 else axis
-    if not 0 <= axis < rank:
-        raise ShapeError("concat", parts[0].shape, detail=f"axis {axis} out of range")
+    if not -rank <= axis < rank:
+        raise ShapeError("concat", parts[0].shape, detail=f"axis {axis} out of range for rank {rank}")
+    axis %= rank
     if len(parts) == 1:
         return parts[0]
     for p in parts[1:]:

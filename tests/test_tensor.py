@@ -226,11 +226,12 @@ class TestShapeOps:
         a = Tensor(np.ones((2, 2)))
         assert T.concat([a], axis=0) is a
 
-    @pytest.mark.parametrize("n_parts", [1, 2])
-    def test_concat_axis_out_of_range(self, n_parts):
+    @pytest.mark.parametrize("n_parts,axis", [(1, 7), (2, 7), (1, -3), (2, -3)])
+    def test_concat_axis_out_of_range(self, n_parts, axis):
         with pytest.raises(ShapeError) as err:
-            T.concat([Tensor(np.ones((2, 2)))] * n_parts, axis=7)
+            T.concat([Tensor(np.ones((2, 2)))] * n_parts, axis=axis)
         assert err.value.op == "concat"
+        assert f"axis {axis} " in str(err.value)
 
     def test_concat_split_roundtrip(self):
         g = rng(6)
