@@ -1,15 +1,16 @@
 """Sample reweighting that suppresses pairwise feature dependence.
 
-Feature variables are pooled channels of the deepest encoder output. Each
-variable is lifted through a frozen random-cosine feature bank. Placing the
-lifts side by side, scaling each row by its sample weight and centring the
-columns gives Z; S = Z^T Z / (n-1) then holds every pair's weighted
-cross-covariance as an off-diagonal block. The objective is the total
-squared Frobenius norm of those blocks over pairs i < j, that is
-1/2 ||S - blockdiag(S)||_F^2, recorded on the tape by ``objective_graph``.
-The weight learner searches the scaled simplex {w >= 0, sum(w) = n} for
-weights that minimize it, via gradient descent on a softmax
-parameterization (always feasible, no projection step).
+Feature variables are pooled channels of the deepest encoder output,
+standardised over the batch to the unit width of the frozen random-cosine
+bank each is lifted through (Rahimi & Recht, 2007). Placing the lifts side
+by side, scaling each row by its sample weight and centring the columns
+gives Z; S = Z^T Z / (n-1) then holds every pair's weighted cross-covariance
+as an off-diagonal block. The objective is the total squared Frobenius norm
+of those blocks over pairs i < j, that is 1/2 ||S - blockdiag(S)||_F^2,
+recorded on the tape by ``objective_graph``. The weight learner searches the
+scaled simplex {w >= 0, sum(w) = n} for weights that minimize it, by gradient
+descent on a softmax parameterization (always feasible, no projection step)
+with steps relative to the objective at uniform weights.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .seeding import mix64
 from .tensor import Tensor, Tape, backward
 
 SIMPLEX_TOL = 1e-9
+STEP = 0.05  # theta step per unit of gradient relative to the uniform objective
 
 
 @dataclass
@@ -81,14 +83,11 @@ class CimConfig:
     n_f: int = 5
     m_features: int = 16
     inner_steps: int = 20
-    inner_lr: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
         if self.n_f < 1 or self.m_features < 1 or self.inner_steps < 1:
             raise ConfigError("cim counts must be positive")
-        if self.inner_lr <= 0.0:
-            raise ConfigError(f"inner_lr must be positive, got {self.inner_lr}")
 
 
 def make_banks(m: int, cfg: CimConfig) -> list[RFFBank]:
@@ -99,7 +98,8 @@ def make_banks(m: int, cfg: CimConfig) -> list[RFFBank]:
 def extract_feature_vars(f5, cfg: CimConfig, seed: int) -> np.ndarray:
     """Pool each channel of the deepest feature map into one scalar per sample.
 
-    Returns an (n, m) matrix over a seeded, run-fixed subset of m channels.
+    Returns an (n, m) matrix over a seeded, run-fixed subset of m channels,
+    each standardised over the batch; a column with no spread gives zeros.
     """
     data = f5.data if isinstance(f5, Tensor) else np.asarray(f5)
     if data.ndim != 4:
@@ -110,7 +110,10 @@ def extract_feature_vars(f5, cfg: CimConfig, seed: int) -> np.ndarray:
     pooled = data.mean(axis=(2, 3))  # (n, c)
     m = min(cfg.m_features, c)
     chosen = np.sort(np.random.default_rng(mix64(seed, 2000)).choice(c, size=m, replace=False))
-    return pooled[:, chosen]
+    x = pooled[:, chosen] - pooled[:1, chosen]  # a constant column is exactly 0
+    x -= x.mean(axis=0)
+    sd = x.std(axis=0)
+    return np.divide(x, sd, out=x, where=sd > 0)
 
 
 def rff_map(column: np.ndarray, bank: RFFBank) -> np.ndarray:
@@ -171,9 +174,9 @@ def objective_graph(lifted: list[np.ndarray], w: Tensor) -> Tensor:
 def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:
     """Minimize the pairwise dependence objective over the scaled simplex.
 
-    Runs ``inner_steps`` of gradient descent on w = n * softmax(theta) from
-    the uniform point and returns the best iterate, so the result never
-    scores worse than uniform weights.
+    From the uniform point, takes ``inner_steps`` steps of ``STEP`` times the
+    gradient in theta, w = n * softmax(theta), over the uniform objective (none
+    if that is 0) and returns the best iterate, never worse than uniform.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -185,7 +188,7 @@ def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:
     lifted = [rff_map(features[:, k], banks[k]) for k in range(m)]
 
     theta = Tensor(np.zeros(n), requires_grad=True)
-    best_w, best_obj = None, np.inf
+    best_w = np.ones(n)  # the start as exact ones: n * softmax(0) may round off 1
     for step in range(cfg.inner_steps + 1):
         with Tape() as tape:
             w = T.softmax(theta, axis=0) * float(n)
@@ -193,13 +196,14 @@ def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:
         value = obj.item()
         if not np.isfinite(value):
             raise NonFiniteError("learn_weights: objective diverged", index=step)
-        if value < best_obj:
-            # n * softmax(0) may round off 1; the start is kept as exact ones.
-            best_obj, best_w = value, w.data if step else np.ones(n)
-        if step == cfg.inner_steps:
+        if step == 0:
+            uniform = best_obj = value
+        elif value < best_obj:
+            best_obj, best_w = value, w.data
+        if step == cfg.inner_steps or uniform == 0.0:  # 0: nothing to decorrelate
             break
         backward(obj, tape)
-        theta.data = theta.data - cfg.inner_lr * theta.grad
+        theta.data = theta.data - STEP / uniform * theta.grad
         theta.zero_grad()
     return SampleWeights(best_w, n)
 

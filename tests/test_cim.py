@@ -215,9 +215,32 @@ class TestObjective:
 class TestLearnWeights:
     def test_uniform_start_exact(self):
         # 49 * (1/49) rounds below 1, so a start at n * softmax(0) is not exact.
-        cfg = CimConfig(inner_steps=1, inner_lr=1e-30)
-        w = learn_weights(rng(28).normal(size=(49, 2)), cfg)
+        # Constant features score only rounding at the start, and any other
+        # weights make the weighted rows vary, so the start stays the best.
+        assert not np.array_equal(49 * T.softmax(Tensor(np.zeros(49)), axis=0).data, np.ones(49))
+        w = learn_weights(np.ones((49, 2)), CimConfig())
         np.testing.assert_array_equal(w.w, np.ones(49))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_constant_features_give_uniform(self, n):
+        # At n = 5 the uniform objective is exactly 0, which must not divide.
+        features = np.ones((n, 4))
+        cfg = CimConfig()
+        uniform = independence_objective(features, make_banks(4, cfg), SampleWeights.uniform(n))
+        assert (uniform == 0.0) == (n == 5)
+        np.testing.assert_array_equal(learn_weights(features, cfg).w, np.ones(n))
+
+    def test_acts_at_batch_8(self):
+        # Standardised columns, as extract_feature_vars returns them.
+        features = rng(33).normal(size=(8, 16))
+        features = (features - features.mean(axis=0)) / features.std(axis=0)
+        cfg = CimConfig()
+        w = learn_weights(features, cfg)
+        banks = make_banks(16, cfg)
+        ratio = independence_objective(features, banks, w) / independence_objective(
+            features, banks, SampleWeights.uniform(8))
+        assert ratio < 0.99
+        assert np.max(np.abs(w.w - 1.0)) > 0.05
 
     def test_never_worse_than_uniform(self):
         for seed in range(25):
@@ -242,7 +265,7 @@ class TestLearnWeights:
         g = rng(30)
         a = g.standard_normal(8)
         features = np.stack([a, a + 0.05 * g.standard_normal(8)], axis=1)
-        cfg = CimConfig(seed=3, inner_steps=50, inner_lr=0.2)
+        cfg = CimConfig(seed=3, inner_steps=50)
         w = learn_weights(features, cfg)
         banks = make_banks(2, cfg)
         assert independence_objective(features, banks, w) < independence_objective(
@@ -255,11 +278,11 @@ class TestLearnWeights:
         assert err.value.op == "learn_weights"
 
     def test_permuting_samples_permutes_weights(self):
-        # n = 32 is where the default learner moves the weights (by up to about
-        # 0.24). Permuting the rows changes the summation order of every
-        # reduction over samples, so the weights agree to rounding, not bitwise.
-        features = rng(31).normal(size=(32, 16))
-        perm = rng(32).permutation(32)
+        # The default learner moves the weights at the harness's batch of 8.
+        # Permuting the rows changes the summation order of every reduction
+        # over samples, so the weights agree to rounding, not bitwise.
+        features = rng(31).normal(size=(8, 16))
+        perm = rng(32).permutation(8)
         w = learn_weights(features, CimConfig()).w
         assert np.max(np.abs(w - 1.0)) > 0.1
         np.testing.assert_allclose(learn_weights(features[perm], CimConfig()).w, w[perm], rtol=0, atol=1e-9)
@@ -267,11 +290,15 @@ class TestLearnWeights:
 
 class TestFeatureVars:
     def test_gap_of_constant_channels(self):
-        f5 = np.zeros((2, 4, 2, 2))
+        # Channel c of sample i is the constant (c + 1) * s[i]; standardising
+        # over the batch removes the factor c + 1.
+        s = np.array([1.0, 2.0, 4.0])
+        f5 = np.zeros((3, 4, 2, 2))
         for c in range(4):
-            f5[:, c] = c + 1
+            f5[:, c] = (c + 1) * s[:, None, None]
         out = extract_feature_vars(f5, CimConfig(m_features=16), seed=0)
-        np.testing.assert_allclose(out, [[1, 2, 3, 4], [1, 2, 3, 4]], atol=1e-15)
+        expected = (s - s.mean()) / s.std()
+        np.testing.assert_allclose(out, np.tile(expected[:, None], (1, 4)), rtol=0, atol=1e-12)
 
     def test_selection_deterministic(self):
         f5 = rng(31).normal(size=(3, 8, 2, 2))
@@ -282,9 +309,30 @@ class TestFeatureVars:
         assert a.shape == (3, 2)
 
     def test_gap_arithmetic(self):
-        f5 = np.array([[[[1.0, 3.0], [5.0, 7.0]]]] * 2)
+        # Pooled means 4, 5 and 7.
+        base = np.array([[1.0, 3.0], [5.0, 7.0]])
+        f5 = np.stack([base, base + 1.0, base + 3.0])[:, None]
         out = extract_feature_vars(f5, CimConfig(m_features=1), seed=0)
-        np.testing.assert_allclose(out, 4.0)
+        g = np.array([4.0, 5.0, 7.0])
+        np.testing.assert_allclose(out[:, 0], (g - g.mean()) / g.std(), rtol=0, atol=1e-12)
+
+    def test_standardised_columns(self):
+        f5 = rng(34).normal(0.3, 0.02, size=(8, 32, 4, 4))
+        cfg = CimConfig()
+        out = extract_feature_vars(f5, cfg, seed=3)
+        assert out.shape == (8, 16)
+        np.testing.assert_allclose(out.mean(axis=0), 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.std(axis=0), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(extract_feature_vars(f5 * 37.5, cfg, seed=3), out, rtol=0, atol=1e-12)
+
+    def test_constant_channel_gives_zero_column(self):
+        # 0.1 is inexact, so a mean over the batch may round off it; warnings
+        # are errors under the test configuration, so a 0/0 would fail here.
+        f5 = rng(35).normal(size=(3, 4, 2, 2))
+        f5[:, 2] = 0.1
+        out = extract_feature_vars(f5, CimConfig(m_features=16), seed=0)
+        np.testing.assert_array_equal(out[:, 2], 0.0)
+        np.testing.assert_allclose(out[:, [0, 1, 3]].std(axis=0), 1.0, rtol=0, atol=1e-12)
 
     def test_single_sample_rejected(self):
         with pytest.raises(DegenerateInputError):
