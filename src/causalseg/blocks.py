@@ -72,13 +72,13 @@ def norm_groups(channels: int) -> int:
 def group_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError("group_norm", x.shape, detail="NCHW tensor required")
-    return T.affine_norm(x, scale, shift, groups)
+    return T.affine_norm(x, scale, shift, groups, op="group_norm")
 
 
 def layer_norm(tokens: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     if tokens.data.ndim != 2:
         raise ShapeError("layer_norm", tokens.shape, detail="(tokens, width) matrix required")
-    return T.affine_norm(tokens, scale, shift, 1)
+    return T.affine_norm(tokens, scale, shift, 1, op="layer_norm")
 
 
 def add_bias(x: Tensor, bias: Tensor) -> Tensor:
@@ -159,6 +159,8 @@ def mbconv(x: Tensor, params: BlockParams, stride: int) -> Tensor:
     """
     if stride not in (1, 2):
         raise ConfigError(f"mbconv stride must be 1 or 2, got {stride}")
+    if x.data.ndim != 4 or x.shape[1] != params.in_channels:
+        raise ShapeError("mbconv", x.shape, detail=f"NCHW tensor with {params.in_channels} channels required")
     hidden = MBCONV_EXPANSION * params.in_channels
     if params["expand_kernel"].shape != (hidden, params.in_channels, 1, 1):
         raise ShapeError("mbconv", params["expand_kernel"].shape,
@@ -227,14 +229,12 @@ def _linear(tokens: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tenso
     return y
 
 
-def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int,
-                      attn_out: list | None = None) -> Tensor:
+def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int) -> Tensor:
     """One pre-norm encoder layer over non-overlapping patches.
 
     Patchify/unpatchify are pure reshapes, so with all projection weights at
     zero the block is the identity. Positional embeddings feed only the
-    attention branch. When ``attn_out`` is given, the per-image, per-head
-    softmax matrices are appended to it as numpy arrays.
+    attention branch.
     """
     if x.data.ndim != 4:
         raise ShapeError("transformer_block", x.shape, detail="NCHW tensor required")
@@ -256,8 +256,6 @@ def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int,
     q, k, v = (T.transpose(T.reshape(T.matmul(a_in, params[nm]), (n, t_count, heads, dh)), perm)
                for nm, perm in (("wq", (0, 2, 1, 3)), ("wk", (0, 2, 3, 1)), ("wv", (0, 2, 1, 3))))
     attn = T.softmax(T.matmul(q, k) * scale, axis=3)
-    if attn_out is not None:
-        attn_out.extend(attn.data.reshape(n * heads, t_count, t_count).copy())
     ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), t.shape)
     t1 = T.add(t, _linear(ctx, params["wo"]))
     m_in = layer_norm(t1, params["ln2_scale"], params["ln2_shift"])

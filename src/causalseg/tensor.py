@@ -444,20 +444,20 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 # normalisation
 
 
-def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int) -> Tensor:
+def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = "affine_norm") -> Tensor:
     """Normalise over groups of axis 1 plus all trailing axes, then scale and shift.
 
     Per sample and group: (x - mean) / (biased variance + NORM_EPS) ** 0.5. ``scale``
     and ``shift`` hold one entry per index of axis 1. Group norm is an NCHW
-    input; layer norm is a (tokens, width) input with one group.
+    input; layer norm is a (tokens, width) input with one group. Errors name ``op``.
     """
     if x.data.ndim < 2:
-        raise ShapeError("affine_norm", x.shape, detail="rank >= 2 required")
+        raise ShapeError(op, x.shape, detail="rank >= 2 required")
     n, c = x.shape[:2]
     if groups < 1 or c % groups:
-        raise ShapeError("affine_norm", x.shape, detail=f"{groups} groups do not divide {c} channels")
+        raise ShapeError(op, x.shape, detail=f"{groups} groups do not divide {c} channels")
     if scale.shape != (c,) or shift.shape != (c,):
-        raise ShapeError("affine_norm", scale.shape, shift.shape, detail=f"need one entry per channel ({c})")
+        raise ShapeError(op, x.shape, scale.shape, shift.shape, detail=f"need one entry per channel ({c})")
     xg = x.data.reshape(n, groups, c // groups, *x.shape[2:])
     axes = tuple(range(2, xg.ndim))
     xhat = xg - xg.mean(axis=axes, keepdims=True)

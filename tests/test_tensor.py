@@ -215,6 +215,33 @@ class TestReduce:
             T.softmax(Tensor(np.ones((2, 3))), axis=axis)
         assert err.value.op == "softmax"
 
+    @pytest.mark.parametrize("logits", [
+        rng(22).normal(size=(2, 3, 5, 5)),
+        rng(23).choice([-700.0, 700.0], size=(2, 3, 5, 5)),
+    ], ids=["normal", "pm700"])
+    def test_softmax_rows_sum_to_one(self, logits):
+        out = T.softmax(Tensor(logits), axis=3).data
+        np.testing.assert_allclose(out.sum(axis=3), 1.0, rtol=0, atol=1e-12)
+
+
+class TestClip:
+    def test_grad_check_inside_and_outside(self):
+        # Every point is at least 0.1 from a bound, so no stencil straddles one.
+        x = Tensor(np.array([-3.0, -1.1, -0.5, 0.2, 0.9, 1.1, 2.5]))
+        weight = Tensor(rng(24).normal(size=7))
+        assert grad_check(lambda t: T.total_sum(T.mul(T.clip(t, -1.0, 1.0), weight)), x) < 1e-8
+
+    def test_gradient_zero_at_and_beyond_bounds(self):
+        x = Tensor(np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]), requires_grad=True)
+        with Tape() as tape:
+            loss = T.total_sum(T.clip(x, -1.0, 1.0))
+        np.testing.assert_array_equal(backward(loss, tape)[x], [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_interval_rejected(self, lo, hi):
+        with pytest.raises(DomainError):
+            T.clip(Tensor([0.0]), lo, hi)
+
 
 class TestShapeOps:
     def test_concat_extents(self):
