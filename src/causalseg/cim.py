@@ -174,9 +174,9 @@ def objective_graph(lifted: list[np.ndarray], w: Tensor) -> Tensor:
 def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:
     """Minimize the pairwise dependence objective over the scaled simplex.
 
-    From the uniform point, takes ``inner_steps`` steps of ``STEP`` times the
-    gradient in theta, w = n * softmax(theta), over the uniform objective (none
-    if that is 0) and returns the best iterate, never worse than uniform.
+    Descends on theta, w = n * softmax(theta), from the uniform point for
+    ``inner_steps`` steps of ``STEP`` * gradient / uniform objective (none if
+    that objective is 0); returns the best iterate, never worse than uniform.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
