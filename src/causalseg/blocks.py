@@ -25,8 +25,8 @@ class SimamConfig:
     lam: float = 1e-4
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ConfigError(f"simam lam must be positive, got {self.lam}")
+        if not 0.0 < self.lam < np.inf:
+            raise ConfigError(f"simam lam must be finite and positive, got {self.lam}")
 
 
 @dataclass
@@ -249,6 +249,9 @@ def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int) ->
 
     tokens = _patchify(x, patch)  # (N, T, D)
     t_count = tokens.shape[1]
+    if params["pos"].shape != (t_count, width):
+        raise ShapeError("transformer_block", params["pos"].shape, (t_count, width),
+                         detail="positional table built for another token grid")
     t = T.reshape(tokens, (n * t_count, width))
     pos = T.reshape(params["pos"], (1, t_count, width))
     a_in = T.add(T.reshape(layer_norm(t, params["ln1_scale"], params["ln1_shift"]), tokens.shape), pos)

@@ -86,8 +86,11 @@ class CimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_f < 1 or self.m_features < 1 or self.inner_steps < 1:
-            raise ConfigError("cim counts must be positive")
+        counts = (self.n_f, self.m_features, self.inner_steps)
+        if not all(isinstance(v, (int, np.integer)) for v in counts + (self.seed,)):
+            raise ConfigError(f"cim counts and seed must be integers, got {self}")
+        if min(counts) < 1:
+            raise ConfigError(f"cim counts must be positive, got {self}")
 
 
 def make_banks(m: int, cfg: CimConfig) -> list[RFFBank]:

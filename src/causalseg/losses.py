@@ -29,12 +29,12 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha_t < 1.0:
             raise ConfigError(f"alpha_t must lie in (0,1), got {self.alpha_t}")
-        if self.gamma < 0.0:
-            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lam must lie in [0,1], got {self.lam}")
-        if self.dice_smooth <= 0.0:
-            raise ConfigError(f"dice_smooth must be positive, got {self.dice_smooth}")
+        if not 0.0 < self.dice_smooth < np.inf:
+            raise ConfigError(f"dice_smooth must be finite and positive, got {self.dice_smooth}")
 
 
 def _check_pair(op: str, probs: Tensor, target: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteError, ShapeError, TapeError
 
-_EXP_MAX = 709.0  # exp() overflows float64 just above this
 NORM_EPS = 1e-5  # added to the variance in affine_norm
 
 # Each thread sees its own stack of open tapes.
@@ -249,13 +248,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
                    (b, lambda g: _reduce_to(-g * a.data / (b.data * b.data), b.shape)))
 
 
-def exp(a: Tensor) -> Tensor:
-    if np.max(a.data, initial=-np.inf) > _EXP_MAX:
-        raise DomainError("exp: argument overflows float64")
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a, lambda g: g * out.data))
-
-
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log: non-positive argument")
@@ -266,6 +258,8 @@ def log(a: Tensor) -> Tensor:
 def power(a: Tensor, exponent: float) -> Tensor:
     """Elementwise a**p for a fixed scalar exponent."""
     p = float(exponent)
+    if not math.isfinite(p):
+        raise DomainError(f"pow: non-finite exponent {p}")
     if p != int(p):
         if np.any(a.data <= 0.0):
             raise DomainError("pow: non-integer exponent needs positive base")
@@ -347,7 +341,7 @@ def _expand_like(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -
 
 
 def reduce_sum(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = _normalize_axes("sum", axes, x.data.ndim)
+    axes = _normalize_axes("reduce_sum", axes, x.data.ndim)
     if not axes:
         return x
     out = Tensor(x.data.sum(axis=axes))
@@ -355,7 +349,7 @@ def reduce_sum(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def reduce_mean(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = _normalize_axes("mean", axes, x.data.ndim)
+    axes = _normalize_axes("reduce_mean", axes, x.data.ndim)
     if not axes:
         return x
     n = int(np.prod([x.shape[a] for a in axes]))
@@ -425,9 +419,9 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     rank = x.data.ndim
     axis = axis + rank if axis < 0 else axis
     if not 0 <= axis < rank:
-        raise ShapeError("slice", x.shape, detail=f"axis {axis} out of range")
+        raise ShapeError("slice_axis", x.shape, detail=f"axis {axis} out of range")
     if not 0 <= start < stop <= x.shape[axis]:
-        raise ShapeError("slice", x.shape, detail=f"bounds [{start},{stop}) invalid on axis {axis}")
+        raise ShapeError("slice_axis", x.shape, detail=f"bounds [{start},{stop}) invalid on axis {axis}")
     slicer = [slice(None)] * rank
     slicer[axis] = slice(start, stop)
     out = Tensor(x.data[tuple(slicer)].copy())
@@ -442,6 +436,19 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # normalisation
+
+
+def softmax(x: Tensor, axis: int) -> Tensor:
+    """Numerically stable softmax along one axis, recorded as one node.
+
+    The backward repeats, in order, the arithmetic of the composite
+    exp(x - max) / sum, so gradients round as the composite's did.
+    """
+    (axis,) = _normalize_axes("softmax", (axis,), x.data.ndim)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    total = e.sum(axis=axis, keepdims=True)
+    out = Tensor(e / total)
+    return _record(out, (x, lambda g: (g / total + np.sum(-g * e / (total * total), axis=axis, keepdims=True)) * e))
 
 
 def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = "affine_norm") -> Tensor:
@@ -584,14 +591,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
 # ---------------------------------------------------------------------------
 # composites
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Numerically stable softmax along one axis (max shift is a constant)."""
-    (axis,) = _normalize_axes("softmax", (axis,), x.data.ndim)
-    e = exp(sub(x, Tensor(x.data.max(axis=axis, keepdims=True))))
-    total = reduce_sum(e, (axis,))
-    return div(e, reshape(total, tuple(1 if i == axis else s for i, s in enumerate(x.shape))))
 
 
 def _parity_fold() -> np.ndarray:

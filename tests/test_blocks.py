@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from causalseg import blocks as B
 from causalseg import tensor as T
-from causalseg.errors import DegenerateInputError, ShapeError
+from causalseg.errors import ConfigError, DegenerateInputError, ShapeError
 from causalseg.blocks import BlockParams, SimamConfig
 from causalseg.tensor import Tensor, grad_check
 
@@ -62,6 +62,11 @@ class TestSimam:
     def test_degenerate_channel(self):
         with pytest.raises(DegenerateInputError):
             B.simam(Tensor(np.ones((1, 2, 1, 1))), SimamConfig())
+
+    @pytest.mark.parametrize("lam", [0.0, -1e-4, np.nan, np.inf])
+    def test_config_validation(self, lam):
+        with pytest.raises(ConfigError):
+            SimamConfig(lam=lam)
 
     def test_grad_check(self):
         x = Tensor(rng(4).normal(size=(1, 2, 3, 3)))
@@ -240,6 +245,13 @@ class TestTransformer:
         with pytest.raises(ShapeError) as err:
             B.transformer_block(Tensor(np.ones((4, 8, 8))), p, patch=2, heads=2)
         assert err.value.op == "transformer_block"
+
+    def test_pos_table_for_another_extent_rejected(self):
+        p = B.make_transformer_params(rng(26), 8, 8, patch=2, heads=2)  # 16 tokens of width 32
+        with pytest.raises(ShapeError) as err:
+            B.transformer_block(Tensor(np.zeros((1, 8, 4, 4))), p, patch=2, heads=2)
+        assert err.value.op == "transformer_block"
+        assert err.value.shapes == ((16, 32), (4, 32))
 
     def test_indivisible_patch_rejected(self):
         p = B.make_transformer_params(rng(26), 4, 8, patch=2, heads=2)

@@ -14,7 +14,7 @@ from causalseg.cim import (
     objective_graph,
     rff_map,
 )
-from causalseg.errors import DegenerateInputError, ShapeError, SimplexError
+from causalseg.errors import ConfigError, DegenerateInputError, ShapeError, SimplexError
 from causalseg.tensor import Tape, Tensor, grad_check
 
 
@@ -46,6 +46,13 @@ def pairwise_objective(features, banks, w):
     lifted = [rff_map(features[:, k], banks[k]) for k in range(m)]
     return sum(float(np.sum(brute_force_weighted_cov(lifted[i], lifted[j], w) ** 2))
                for i in range(m) for j in range(i + 1, m))
+
+
+@pytest.mark.parametrize("bad", [{"m_features": 2.5}, {"m_features": 0}, {"n_f": 0}, {"n_f": np.nan},
+                                 {"inner_steps": 1.0}, {"inner_steps": -1}, {"seed": 2.5}, {"seed": np.nan}])
+def test_config_validation(bad):
+    with pytest.raises(ConfigError):
+        CimConfig(**bad)
 
 
 class TestRFF:

@@ -230,3 +230,7 @@ def test_loss_config_validation():
         LossConfig(lam=1.2)
     with pytest.raises(ConfigError):
         LossConfig(dice_smooth=0.0)
+    # Non-finite values would reach focal_loss's T.power or make dice_loss NaN.
+    for bad in ({"gamma": np.nan}, {"gamma": np.inf}, {"dice_smooth": np.nan}, {"dice_smooth": np.inf}):
+        with pytest.raises(ConfigError):
+            LossConfig(**bad)

@@ -43,9 +43,10 @@ class TestElementwise:
         with pytest.raises(DomainError):
             T.div(Tensor([1.0]), Tensor([0.0]))
 
-    def test_exp_overflow_guard(self):
+    @pytest.mark.parametrize("exponent", [np.nan, np.inf, -np.inf])
+    def test_power_non_finite_exponent(self, exponent):
         with pytest.raises(DomainError):
-            T.exp(Tensor([1000.0]))
+            T.power(Tensor([1.0, 2.0]), exponent)
 
     def test_sigmoid_extremes_finite(self):
         out = T.sigmoid(Tensor([-1e4, 1e4]))
@@ -209,6 +210,12 @@ class TestReduce:
         x = Tensor([1.0, 2.0])
         assert T.reduce_sum(x, ()) is x
 
+    @pytest.mark.parametrize("op", [T.reduce_sum, T.reduce_mean], ids=["sum", "mean"])
+    def test_reduction_names_itself(self, op):
+        with pytest.raises(ShapeError) as err:
+            op(Tensor(np.ones((2, 3))), (2,))
+        assert err.value.op == op.__name__
+
     @pytest.mark.parametrize("axis", [2, -3])
     def test_softmax_axis_out_of_range(self, axis):
         with pytest.raises(ShapeError) as err:
@@ -222,6 +229,29 @@ class TestReduce:
     def test_softmax_rows_sum_to_one(self, logits):
         out = T.softmax(Tensor(logits), axis=3).data
         np.testing.assert_allclose(out.sum(axis=3), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("requires_grad,nodes", [(True, 1), (False, 0)])
+    def test_softmax_is_one_node(self, requires_grad, nodes):
+        x = Tensor(rng(25).normal(size=(2, 3, 4, 4)), requires_grad=requires_grad)
+        with Tape() as tape:
+            T.softmax(x, axis=1)
+        assert len(tape) == nodes
+
+    @pytest.mark.parametrize("scale", [1.0, 700.0], ids=["normal", "pm700"])
+    @pytest.mark.parametrize("shape,axis", [((8,), 0), ((8, 2, 16, 16), 1), ((2, 2, 16, 16), 3)],
+                             ids=["cim", "head", "attention"])
+    def test_softmax_grad_matches_closed_form(self, shape, axis, scale):
+        g = rng(26)
+        logits = g.normal(size=shape) if scale == 1.0 else g.choice([-scale, scale], size=shape)
+        upstream = g.normal(size=shape)
+        x = Tensor(logits, requires_grad=True)
+        with Tape() as tape:
+            y = T.softmax(x, axis=axis)
+            loss = T.total_sum(T.mul(y, Tensor(upstream)))
+        grad = backward(loss, tape)[x]
+        ref = y.data * (upstream - np.sum(upstream * y.data, axis=axis, keepdims=True))
+        assert np.all(np.isfinite(grad))
+        np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12)
 
 
 class TestClip:
@@ -244,6 +274,12 @@ class TestClip:
 
 
 class TestShapeOps:
+    @pytest.mark.parametrize("axis,start,stop", [(2, 0, 1), (1, 2, 2), (1, 0, 4)])
+    def test_slice_axis_names_itself(self, axis, start, stop):
+        with pytest.raises(ShapeError) as err:
+            T.slice_axis(Tensor(np.ones((2, 3))), axis, start, stop)
+        assert err.value.op == "slice_axis"
+
     def test_concat_extents(self):
         a = Tensor(np.ones((1, 2, 4, 4)))
         b = Tensor(np.ones((1, 3, 4, 4)))
@@ -387,7 +423,6 @@ class TestGradCheck:
         x = Tensor(g.uniform(0.5, 2.0, size=(2, 3)))
         numer = Tensor(g.normal(size=(2, 3)))
         checks = [
-            lambda t: T.total_sum(T.exp(t)),
             lambda t: T.total_sum(T.log(t)),
             lambda t: T.total_sum(T.power(t, 1.7)),
             lambda t: T.total_sum(T.div(numer, t)),
@@ -395,6 +430,13 @@ class TestGradCheck:
         ]
         for f in checks:
             assert grad_check(f, x, eps=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("shape,axis", [((8,), 0), ((1, 2, 3, 4), 3)])
+    def test_softmax_grads_on_other_axes(self, shape, axis):
+        g = rng(27)
+        x = Tensor(g.normal(size=shape))
+        weight = Tensor(g.normal(size=shape))
+        assert grad_check(lambda t: T.total_sum(T.mul(T.softmax(t, axis=axis), weight)), x) < 1e-8
 
     def test_conv_grads(self):
         g = rng(11)
