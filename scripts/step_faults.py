@@ -6,7 +6,8 @@ Run from the root of a checkout: it imports the library from ``src/`` and
 the benchmark's data, model and step from ``perfbench/``. It builds the
 ``train_conv`` workload (64x64 images, batch 8, CIM off), runs one warm-up
 round of 8 steps, then times ``--steps`` steps and prints one JSON line with
-the median step time and the median minor page faults per step.
+the median step time, the median minor page faults per step and the
+process's peak resident set size (``maxrss_mb``, from ``ru_maxrss``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def main() -> None:
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     print(json.dumps({"seed": args.seed, "steps": args.steps, "step_ms_p50": round(statistics.median(ms), 2),
                       "minflt_per_step_p50": statistics.median(faults),
-                      "minflt_per_step_mean": round(statistics.fmean(faults), 1)}))
+                      "minflt_per_step_mean": round(statistics.fmean(faults), 1),
+                      "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
 
 
 if __name__ == "__main__":

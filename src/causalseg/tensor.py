@@ -12,12 +12,16 @@ Design notes:
     is 1) raises ``ShapeError``.
   * Gradients accumulate additively into ``Tensor.grad``; callers zero them
     between optimization steps.
-  * Each op records one gradient function per input, and ``backward`` calls
-    it only when that input requires a gradient: no op computes a gradient
-    for a constant.
+  * The tape holds only what backward reads. An op records one gradient
+    function per input that requires a gradient, none for a constant. A node
+    names its output, and each edge its input, by the key the tape gave the
+    tensor it produced; a leaf (a parameter, or a tensor this tape did not
+    produce) is held as itself. Gradient functions capture the shapes and
+    arrays they read, never an input ``Tensor``.
   * Convolutions are GEMMs over an im2col buffer that is zero only where a
     window leaves the input; no padded copy of the input or its gradient is
-    made. A kernel is dense, (O, C, K, K), or depthwise, (C, 1, K, K): one
+    made, and the tape keeps no buffer: the kernel gradient rebuilds it from
+    ``x``. A kernel is dense, (O, C, K, K), or depthwise, (C, 1, K, K): one
     group per channel.
 """
 
@@ -40,12 +44,13 @@ _active_tapes: contextvars.ContextVar[tuple["Tape", ...]] = contextvars.ContextV
 class Tensor:
     """A dense float64 array plus an optional gradient buffer."""
 
-    __slots__ = ("_data", "requires_grad", "grad")
+    __slots__ = ("_data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._key: _Key | None = None  # set by the tape that records the op producing this tensor
 
     @property
     def data(self) -> np.ndarray:
@@ -106,26 +111,40 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _Key:
+    """Names a tensor that a tape produced, by the tape's token and never the tape:
+    a Tensor -> key -> tape -> closure -> Tensor cycle waits for the cyclic GC."""
+
+    __slots__ = ("token",)
+
+    def __init__(self, token: object):
+        self.token = token
+
+
 class _Node:
     __slots__ = ("out", "edges")
 
-    def __init__(self, out: Tensor, edges: tuple[tuple[Tensor, Callable], ...]):
+    def __init__(self, out: _Key, edges: tuple[tuple[_Key | Tensor, Callable], ...]):
         self.out = out
-        self.edges = edges  # (input, output gradient -> that input's gradient)
+        self.edges = edges  # (input's key, or a leaf input itself; output gradient -> that input's gradient)
 
 
 class Tape:
     """Ordered record of differentiable ops; replayed in reverse by backward().
 
     Used as a context manager. Tapes nest; ops record onto the innermost one
-    only. A tape may be consumed by at most one backward pass.
+    only. A tape may be consumed by at most one backward pass, and is not
+    entered again after it.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
+        self._token = object()
         self._consumed = False
 
     def __enter__(self) -> "Tape":
+        if self._consumed:
+            raise TapeError("tape already consumed by backward: open a new one")
         _active_tapes.set(_active_tapes.get() + (self,))
         return self
 
@@ -138,17 +157,27 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def _name(self, t: Tensor) -> _Key | Tensor:
+        """The key of a tensor this tape produced; any other tensor is a leaf, named by itself."""
+        key = t._key
+        return key if key is not None and key.token is self._token else t
+
 
 def _record(out: Tensor, *edges: tuple[Tensor, Callable]) -> Tensor:
     """Attach a node to the active tape if any input participates in autodiff.
 
     Each edge pairs one input with the function that maps the output's
-    gradient to that input's gradient.
+    gradient to that input's gradient. Edges of inputs that need no gradient
+    are dropped here, with whatever their functions captured.
     """
     stack = _active_tapes.get()
-    if stack and any(t.requires_grad for t, _ in edges):
-        out.requires_grad = True
-        stack[-1]._nodes.append(_Node(out, edges))
+    if stack:
+        tape = stack[-1]
+        kept = tuple((tape._name(t), fn) for t, fn in edges if t.requires_grad)
+        if kept:
+            out.requires_grad = True
+            out._key = _Key(tape._token)
+            tape._nodes.append(_Node(out._key, kept))
     return out
 
 
@@ -164,34 +193,24 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         raise TapeError("backward called twice on the same tape")
     tape._consumed = True
 
-    # Only tensors that require gradients hold one; constants are skipped.
-    produced = {id(n.out) for n in tape._nodes}
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)} if loss.requires_grad else {}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    # Keyed by the tape's names: the key of a produced tensor, or a leaf itself.
+    grads: dict[_Key | Tensor, np.ndarray] = {tape._name(loss): np.ones_like(loss.data)} if loss.requires_grad else {}
 
     for node in reversed(tape._nodes):
-        g_out = grads.pop(id(node.out), None)
+        g_out = grads.pop(node.out, None)
         if g_out is None:
             continue  # dead branch: output never influenced the loss
         # Compute all of a node's gradients before accumulating any. The other
         # order frees and allocates the large arrays differently, and on a
         # train_conv step it left glibc's heap about 6 MB (3%) larger in
         # resident memory for the same live arrays.
-        input_grads = [(inp, fn(g_out)) for inp, fn in node.edges if inp.requires_grad]
-        for inp, g in input_grads:
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
-                holders[key] = inp
+        input_grads = [(name, fn(g_out)) for name, fn in node.edges]
+        for name, g in input_grads:
+            grads[name] = grads[name] + g if name in grads else g
 
-    result: dict[Tensor, np.ndarray] = {}
-    for key, g in grads.items():
-        t = holders[key]
-        if key not in produced:
-            result[t] = g
-            t.grad = g.copy() if t.grad is None else t.grad + g
+    result = {t: g for t, g in grads.items() if isinstance(t, Tensor)}
+    for t, g in result.items():
+        t.grad = g.copy() if t.grad is None else t.grad + g
     return result
 
 
@@ -222,37 +241,38 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes("add", a, b)
-    out = Tensor(a.data + b.data)
-    return _record(out, (a, lambda g: _reduce_to(g, a.shape)), (b, lambda g: _reduce_to(g, b.shape)))
+    out, sa, sb = Tensor(a.data + b.data), a.shape, b.shape
+    return _record(out, (a, lambda g: _reduce_to(g, sa)), (b, lambda g: _reduce_to(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes("sub", a, b)
-    out = Tensor(a.data - b.data)
-    return _record(out, (a, lambda g: _reduce_to(g, a.shape)), (b, lambda g: _reduce_to(-g, b.shape)))
+    out, sa, sb = Tensor(a.data - b.data), a.shape, b.shape
+    return _record(out, (a, lambda g: _reduce_to(g, sa)), (b, lambda g: _reduce_to(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes("mul", a, b)
-    out = Tensor(a.data * b.data)
-    return _record(out, (a, lambda g: _reduce_to(g * b.data, a.shape)),
-                   (b, lambda g: _reduce_to(g * a.data, b.shape)))
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    out = Tensor(ad * bd)
+    return _record(out, (a, lambda g: _reduce_to(g * bd, sa)), (b, lambda g: _reduce_to(g * ad, sb)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes("div", a, b)
     if np.any(b.data == 0.0):
         raise DomainError("div: zero divisor")
-    out = Tensor(a.data / b.data)
-    return _record(out, (a, lambda g: _reduce_to(g / b.data, a.shape)),
-                   (b, lambda g: _reduce_to(-g * a.data / (b.data * b.data), b.shape)))
+    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
+    out = Tensor(ad / bd)
+    return _record(out, (a, lambda g: _reduce_to(g / bd, sa)), (b, lambda g: _reduce_to(-g * ad / (bd * bd), sb)))
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: non-positive argument")
-    out = Tensor(np.log(a.data))
-    return _record(out, (a, lambda g: g / a.data))
+    ad = a.data
+    if not np.all(ad > 0.0):  # NaN fails this test too
+        raise DomainError("log: non-positive or NaN argument")
+    out = Tensor(np.log(ad))
+    return _record(out, (a, lambda g: g / ad))
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
@@ -260,13 +280,14 @@ def power(a: Tensor, exponent: float) -> Tensor:
     p = float(exponent)
     if not math.isfinite(p):
         raise DomainError(f"pow: non-finite exponent {p}")
+    ad = a.data
     if p != int(p):
-        if np.any(a.data <= 0.0):
-            raise DomainError("pow: non-integer exponent needs positive base")
-    elif p < 0 and np.any(a.data == 0.0):
+        if not np.all(ad > 0.0):  # NaN fails this test too
+            raise DomainError("pow: non-integer exponent needs positive, non-NaN base")
+    elif p < 0 and np.any(ad == 0.0):
         raise DomainError("pow: zero base with negative exponent")
-    out = Tensor(a.data ** p)
-    return _record(out, (a, lambda g: g * p * a.data ** (p - 1.0) if p != 0.0 else np.zeros_like(a.data)))
+    out = Tensor(ad ** p)
+    return _record(out, (a, lambda g: g * p * ad ** (p - 1.0) if p != 0.0 else np.zeros_like(ad)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -280,7 +301,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
-    return _record(out, (a, lambda g: g * (a.data > 0.0)))
+    return _record(out, (a, lambda g: g * (out.data > 0.0)))  # the mask of a > 0, NaN included
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -308,14 +329,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul", a.shape, b.shape, detail="batch axes disagree")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul", a.shape, b.shape, detail="inner dimensions disagree")
-    out = Tensor(a.data @ b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad @ bd)
 
     def grad_b(g):
-        if b.data.ndim == a.data.ndim:
-            return np.swapaxes(a.data, -1, -2) @ g
-        return a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        if bd.ndim == ad.ndim:
+            return np.swapaxes(ad, -1, -2) @ g
+        return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
-    return _record(out, (a, lambda g: g @ np.swapaxes(b.data, -1, -2)), (b, grad_b))
+    return _record(out, (a, lambda g: g @ np.swapaxes(bd, -1, -2)), (b, grad_b))
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +366,17 @@ def reduce_sum(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = _normalize_axes("reduce_sum", axes, x.data.ndim)
     if not axes:
         return x
-    out = Tensor(x.data.sum(axis=axes))
-    return _record(out, (x, lambda g: _expand_like(g, x.shape, axes).copy()))
+    out, shape = Tensor(x.data.sum(axis=axes)), x.shape
+    return _record(out, (x, lambda g: _expand_like(g, shape, axes).copy()))
 
 
 def reduce_mean(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = _normalize_axes("reduce_mean", axes, x.data.ndim)
     if not axes:
         return x
-    n = int(np.prod([x.shape[a] for a in axes]))
+    n, shape = int(np.prod([x.shape[a] for a in axes])), x.shape
     out = Tensor(x.data.mean(axis=axes))
-    return _record(out, (x, lambda g: _expand_like(g / n, x.shape, axes).copy()))
+    return _record(out, (x, lambda g: _expand_like(g / n, shape, axes).copy()))
 
 
 def total_sum(x: Tensor) -> Tensor:
@@ -371,10 +393,12 @@ def total_mean(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
+    if any(s < 0 for s in shape):
+        raise ShapeError("reshape", x.shape, shape, detail="negative extent")
     if int(np.prod(shape)) != x.size:
         raise ShapeError("reshape", x.shape, shape, detail="element count changes")
-    out = Tensor(x.data.reshape(shape))
-    return _record(out, (x, lambda g: g.reshape(x.shape)))
+    out, xshape = Tensor(x.data.reshape(shape)), x.shape
+    return _record(out, (x, lambda g: g.reshape(xshape)))
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
@@ -402,15 +426,13 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
             if ax != axis and p.shape[ax] != parts[0].shape[ax]:
                 raise ShapeError("concat", parts[0].shape, p.shape, detail=f"axis {ax} differs")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    bounds = np.cumsum([0] + [p.shape[axis] for p in parts]).tolist()
 
     def grad_part(i):
-        def back(g):
-            start = sum(p.shape[axis] for p in parts[:i])
-            slicer = [slice(None)] * rank
-            slicer[axis] = slice(start, start + parts[i].shape[axis])
-            return g[tuple(slicer)].copy()
-
-        return back
+        slicer = [slice(None)] * rank
+        slicer[axis] = slice(bounds[i], bounds[i + 1])
+        slicer = tuple(slicer)
+        return lambda g: g[slicer].copy()
 
     return _record(out, *((p, grad_part(i)) for i, p in enumerate(parts)))
 
@@ -424,10 +446,10 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise ShapeError("slice_axis", x.shape, detail=f"bounds [{start},{stop}) invalid on axis {axis}")
     slicer = [slice(None)] * rank
     slicer[axis] = slice(start, stop)
-    out = Tensor(x.data[tuple(slicer)].copy())
+    out, xshape = Tensor(x.data[tuple(slicer)].copy()), x.shape
 
     def back(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(xshape)
         gx[tuple(slicer)] = g
         return gx
 
@@ -473,23 +495,23 @@ def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = 
     per_channel = (1, c) + (1,) * (x.data.ndim - 2)
     y = xhat.reshape(x.shape) * scale.data.reshape(per_channel)
     y += shift.data.reshape(per_channel)
-    out = Tensor(y)
+    out, xshape, gshape, gain = Tensor(y), x.shape, xg.shape, scale.data.reshape(per_channel)
 
     def grad_x(g):
         # closed form of the normalisation's backward (Wu & He, 2018), on the
         # owned gx and one scratch buffer
-        gx = (g * scale.data.reshape(per_channel)).reshape(xg.shape)
+        gx = (g * gain).reshape(gshape)
         scratch = gx * xhat
         k = np.mean(scratch, axis=axes, keepdims=True)
         gx -= gx.mean(axis=axes, keepdims=True)
         np.multiply(xhat, k, out=scratch)
         gx -= scratch
         gx /= std
-        return gx.reshape(x.shape)
+        return gx.reshape(xshape)
 
     summed = (0,) + tuple(range(2, x.data.ndim))
     return _record(out, (x, grad_x),
-                   (scale, lambda g: (g.reshape(xg.shape) * xhat).reshape(x.shape).sum(axis=summed)),
+                   (scale, lambda g: (g.reshape(gshape) * xhat).reshape(xshape).sum(axis=summed)),
                    (shift, lambda g: g.sum(axis=summed)))
 
 
@@ -563,17 +585,20 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if ck != c and (o, ck) != (c, 1):
         raise ShapeError("conv2d", x.shape, kernel.shape,
                          detail=f"kernel expects {ck} channels, input has {c}, and is not depthwise ({c}, 1, K, K)")
-    if stride < 1 or padding < 0:
-        raise ShapeError("conv2d", x.shape, detail=f"stride {stride} / padding {padding} invalid")
+    if not all(isinstance(v, (int, np.integer)) for v in (stride, padding)) or stride < 1 or padding < 0:
+        raise ShapeError("conv2d", x.shape, detail=f"stride {stride!r} / padding {padding!r} invalid")
     ho = _conv_out_extent(h, kh, stride, padding)
     wo = _conv_out_extent(w, kw, stride, padding)
     if ho < 1 or wo < 1:
         raise ShapeError("conv2d", x.shape, kernel.shape, detail=f"output extent {ho}x{wo} non-positive")
 
-    groups = c // ck
-    cols = _im2col(x.data, kh, stride, padding, ho, wo).reshape(n, groups, ck * kh * kw, ho * wo)
+    groups, xd, xshape, kshape = c // ck, x.data, x.shape, kernel.shape
+
+    def windows():  # built again by the kernel gradient, so the tape holds no im2col buffer
+        return _im2col(xd, kh, stride, padding, ho, wo).reshape(n, groups, ck * kh * kw, ho * wo)
+
     wmat = kernel.data.reshape(groups, o // groups, ck * kh * kw)
-    out = Tensor((wmat @ cols).reshape(n, o, ho, wo))
+    out = Tensor((wmat @ windows()).reshape(n, o, ho, wo))
     gmat = (n, groups, o // groups, ho * wo)  # the output gradient as per-group GEMM outputs
 
     def grad_x(g):
@@ -581,10 +606,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         # With one output channel per group (depthwise) the GEMM's inner dimension
         # is 1 and numpy runs n * groups tiny products; the broadcast is equal.
         gcols = wt * gg if o == groups else wt @ gg
-        return _col2im(gcols.reshape(n, c, kh, kw, ho, wo), x.shape, stride, padding)
+        return _col2im(gcols.reshape(n, c, kh, kw, ho, wo), xshape, stride, padding)
 
     def grad_kernel(g):
-        return (g.reshape(gmat) @ cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(kernel.shape)
+        return (g.reshape(gmat) @ windows().transpose(0, 1, 3, 2)).sum(axis=0).reshape(kshape)
 
     return _record(out, (x, grad_x), (kernel, grad_kernel))
 

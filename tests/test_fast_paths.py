@@ -300,16 +300,24 @@ class TestConvBackward:
 
 
 class TestConstantEdges:
-    def test_no_edge_runs_for_a_constant_input(self):
-        """The decoder and the three losses under one tape: every edge from a
-        constant (the sub-pixel fold, the skip input, the loss masks) is
-        swapped for one that raises, and backward neither calls one nor
-        changes a gradient."""
+    def test_no_edge_runs_for_a_constant_input(self, monkeypatch):
+        """The decoder and the three losses under one tape: every gradient
+        function handed to the tape for a constant input (the sub-pixel fold,
+        the skip input, the loss masks) is swapped for one that raises. The
+        tape records no edge that names a constant, and backward neither calls
+        one nor changes a gradient."""
 
         def constant_edge(g):
             raise AssertionError("gradient computed for a constant input")
 
-        def run(patch):
+        constants = []
+        record = T._record
+
+        def guarded(out, *edges):
+            constants.extend(t for t, _ in edges if not t.requires_grad)
+            return record(out, *((t, fn if t.requires_grad else constant_edge) for t, fn in edges))
+
+        def run():
             g = rng(21)
             x = Tensor(g.normal(size=(2, 8, 4, 4)), requires_grad=True)
             skip = Tensor(g.normal(size=(2, 4, 8, 8)))
@@ -320,17 +328,21 @@ class TestConstantEdges:
                 probs = T.softmax(B.decoder_block(x, skip, p), axis=1)
                 loss = L.total_loss(T.total_mean(L.ce_per_sample(probs, target)), L.dice_loss(probs, target, cfg),
                                     L.focal_loss(probs, target, cfg), cfg)
-            constants = [t for node in tape._nodes for t, _ in node.edges if not t.requires_grad]
-            assert any(t.data is T._PARITY_FOLD for t in constants) and any(t is skip for t in constants)
-            if patch:
-                for node in tape._nodes:
-                    node.edges = tuple((t, fn if t.requires_grad else constant_edge) for t, fn in node.edges)
+            leaves = [t for node in tape._nodes for t, _ in node.edges if isinstance(t, Tensor)]
+            assert all(t.requires_grad for t in leaves)
+            assert {id(t) for t in leaves} == {id(t) for t in (x, *p.tensors().values())}
             grads = backward(loss, tape)
             assert skip not in grads
-            return [grads[t] for t in (x, *p.tensors().values())]
+            return skip, [grads[t] for t in (x, *p.tensors().values())]
 
-        for patched, plain in zip(run(True), run(False)):
-            np.testing.assert_array_equal(patched, plain)
+        _, plain = run()
+        monkeypatch.setattr(T, "_record", guarded)
+        skip, patched = run()
+        assert any(t.data is T._PARITY_FOLD for t in constants)
+        assert any(t is skip for t in constants)
+        assert any(t.shape == (2, 8, 8) for t in constants)  # a loss mask
+        for a, b in zip(patched, plain):
+            np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
+import gc
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalseg import blocks as B
 from causalseg import tensor as T
 from causalseg.errors import DomainError, ShapeError, TapeError
 from causalseg.tensor import Tensor, Tape, backward, grad_check
@@ -363,16 +367,56 @@ class TestBackward:
         assert y.requires_grad is False
 
     def test_inner_tape_isolated(self):
+        # y is produced on the outer tape; on the inner tape it is a leaf, and
+        # the inner backward gives it a .grad as it gives one to x.
         x = Tensor([2.0], requires_grad=True)
         with Tape() as outer:
             y = T.mul(x, x)
             with Tape() as inner:
-                z = T.total_sum(T.mul(x, Tensor([5.0])))
-            backward(z, inner)
+                z = T.total_sum(T.add(T.mul(x, Tensor([5.0])), T.mul(y, Tensor([3.0]))))
+            inner_grads = backward(z, inner)
             loss = T.total_sum(y)
+        assert set(map(id, inner_grads)) == {id(x), id(y)}
         np.testing.assert_array_equal(x.grad, [5.0])
-        backward(loss, outer)
+        np.testing.assert_array_equal(y.grad, [3.0])
+        assert set(map(id, backward(loss, outer))) == {id(x)}
         np.testing.assert_array_equal(x.grad, [9.0])
+        np.testing.assert_array_equal(y.grad, [3.0])
+
+    def test_consumed_tape_cannot_be_reopened(self):
+        x = Tensor([1.0], requires_grad=True)
+        with Tape() as tape:
+            loss = T.total_sum(T.mul(x, x))
+        backward(loss, tape)
+        with pytest.raises(TapeError):
+            with tape:
+                T.mul(x, x)
+        assert len(tape) == 2
+        assert T.mul(x, x).requires_grad is False  # the refused tape is not left active
+
+    def test_no_reference_cycle_through_the_tape(self):
+        """A tape is freed by reference counting alone: no tensor it produced
+        refers back to it, so a step's tape and its closures do not wait for
+        the cyclic garbage collector."""
+
+        def step():
+            g = rng(31)
+            x = Tensor(g.normal(size=(2, 3, 8, 8)), requires_grad=True)
+            k = Tensor(g.normal(size=(4, 3, 3, 3)), requires_grad=True)
+            scale, shift = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
+            with Tape() as tape:
+                h = T.relu(B.group_norm(T.conv2d(x, k, 1, 1), scale, shift, 2))
+                probs = T.softmax(T.sigmoid(h), axis=1)
+                loss = T.total_mean(T.mul(probs, probs))
+            backward(loss, tape)
+            return weakref.ref(tape), probs, loss
+
+        gc.disable()
+        try:
+            tape, probs, loss = step()
+            assert tape() is None  # the step's outputs do not hold it
+        finally:
+            gc.enable()
 
     def test_tape_not_shared_across_threads(self):
         opened, release = threading.Event(), threading.Event()
@@ -406,6 +450,48 @@ class TestBackward:
             outer.__exit__(None, None, None)  # no longer active
         x = Tensor([1.0], requires_grad=True)
         assert T.mul(x, x).requires_grad is False  # both tapes were closed
+
+
+class TestTapeHolds:
+    """The tape holds only what backward reads."""
+
+    def test_conv_output_freed_while_tape_is_open(self):
+        # group_norm's backward reads its own statistics, not its input, and a
+        # node names its output by a key: once the forward drops the conv
+        # output, nothing holds its array.
+        g = rng(33)
+        x = Tensor(g.normal(size=(2, 3, 8, 8)), requires_grad=True)
+        k = Tensor(g.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        scale, shift = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
+        with Tape() as tape:
+            h = T.conv2d(x, k, 1, 1)
+            buffer = weakref.ref(h.data if h.data.base is None else h.data.base)
+            y = B.group_norm(h, scale, shift, 2)
+            del h
+            assert buffer() is None
+            loss = T.total_sum(T.mul(y, y))
+        grads = backward(loss, tape)
+        assert set(map(id, grads)) == {id(t) for t in (x, k, scale, shift)}
+
+    def test_conv_keeps_no_im2col_buffer(self):
+        # 3x3 windows over 16 channels: the im2col buffer is 9x the input. The
+        # kernel gradient rebuilds it from x, so the tape holds the output and
+        # not the buffer.
+        g = rng(34)
+        x = Tensor(g.normal(size=(2, 16, 16, 16)), requires_grad=True)
+        k = Tensor(g.normal(size=(4, 16, 3, 3)), requires_grad=True)
+        cols_bytes = 9 * x.data.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = T.total_sum(T.conv2d(x, k, 1, 1))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < cols_bytes
+        backward(loss, tape)
+        assert k.grad is not None and x.grad is not None
 
 
 class TestGradCheck:
@@ -504,6 +590,26 @@ class TestGradCheck:
             T.affine_norm(x, Tensor(np.ones(3)), Tensor(np.ones(6)), 3)
         with pytest.raises(ShapeError):
             T.affine_norm(Tensor(np.ones(6)), Tensor(np.ones(6)), Tensor(np.ones(6)), 1)
+
+
+@pytest.mark.parametrize("call,error,op", [
+    (lambda: T.reshape(Tensor(np.ones(4)), (-2, -2)), ShapeError, "reshape"),  # product 4, as the input's
+    (lambda: T.reshape(Tensor(np.ones(4)), (-1, -4)), ShapeError, "reshape"),
+    (lambda: T.reshape(Tensor(np.ones(4)), (-1, 4)), ShapeError, "reshape"),
+    (lambda: T.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))), stride=1.5), ShapeError, "conv2d"),
+    (lambda: T.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))), stride=2.0), ShapeError, "conv2d"),
+    (lambda: T.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))), padding=0.5), ShapeError, "conv2d"),
+    (lambda: T.log(Tensor([np.nan])), DomainError, None),
+    (lambda: T.log(Tensor([1.0, np.nan])), DomainError, None),
+    (lambda: T.power(Tensor([np.nan]), 0.5), DomainError, None),
+    (lambda: T.power(Tensor([4.0, np.nan]), -1.5), DomainError, None),
+], ids=["reshape-2-2", "reshape-1-4", "reshape-1_4", "conv-stride1.5", "conv-stride2.0", "conv-pad0.5",
+        "log-nan", "log-1-nan", "pow-nan", "pow-4-nan"])
+def test_structured_errors_at_the_boundary(call, error, op):
+    with pytest.raises(error) as err:
+        call()
+    if op is not None:
+        assert err.value.op == op
 
 
 def test_forward_determinism():
