@@ -330,14 +330,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul", a.shape, b.shape, detail="inner dimensions disagree")
     ad, bd = a.data, b.data
-    out = Tensor(ad @ bd)
 
     def grad_b(g):
         if bd.ndim == ad.ndim:
             return np.swapaxes(ad, -1, -2) @ g
         return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
-    return _record(out, (a, lambda g: g @ np.swapaxes(bd, -1, -2)), (b, grad_b))
+    return _record(Tensor(ad @ bd), (a, lambda g: g @ np.swapaxes(bd, -1, -2)), (b, grad_b))
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +492,10 @@ def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = 
     std = (np.mean(xhat * xhat, axis=axes, keepdims=True) + NORM_EPS) ** 0.5
     xhat /= std
     per_channel = (1, c) + (1,) * (x.data.ndim - 2)
-    y = xhat.reshape(x.shape) * scale.data.reshape(per_channel)
+    gain = scale.data.reshape(per_channel)
+    y = xhat.reshape(x.shape) * gain
     y += shift.data.reshape(per_channel)
-    out, xshape, gshape, gain = Tensor(y), x.shape, xg.shape, scale.data.reshape(per_channel)
+    out, xshape, gshape = Tensor(y), x.shape, xg.shape
 
     def grad_x(g):
         # closed form of the normalisation's backward (Wu & He, 2018), on the
