@@ -71,6 +71,9 @@ class SampleWeights:
 
 def validate_simplex(w: np.ndarray) -> None:
     w = np.asarray(w)
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:  # NaN fails both tests below
+        raise NonFiniteError("sample weights: non-finite weight", index=int(bad[0]))
     if np.any(w < 0.0):
         raise SimplexError(f"negative weight {w.min():.3e}")
     drift = abs(float(w.sum()) - w.size)

@@ -18,11 +18,15 @@ Design notes:
     tensor it produced; a leaf (a parameter, or a tensor this tape did not
     produce) is held as itself. Gradient functions capture the shapes and
     arrays they read, never an input ``Tensor``.
-  * Convolutions are GEMMs over an im2col buffer that is zero only where a
-    window leaves the input; no padded copy of the input or its gradient is
-    made, and the tape keeps no buffer: the kernel gradient rebuilds it from
-    ``x``. A kernel is dense, (O, C, K, K), or depthwise, (C, 1, K, K): one
-    group per channel.
+  * A convolution of stride s splits one zero-padded copy of its input into
+    s x s flat phase planes (a space-to-depth) of Ho + e rows by Wq = Wo + e
+    columns, e = (K - 1) // s, so each kernel tap is a zero-copy view of the
+    planes. With fewer input than output channels, or a depthwise kernel, the
+    taps are gathered for one GEMM per group; otherwise each tap runs its own
+    (O, C) GEMM into an Ho x Wq output, cropped once. Backward adds each tap's
+    share into zeroed planes and crops them to x; the kernel gradient rebuilds
+    the planes from x, which is all the tape keeps. A kernel is dense,
+    (O, C, K, K), or depthwise, (C, 1, K, K).
 """
 
 from __future__ import annotations
@@ -441,8 +445,8 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     axis = axis + rank if axis < 0 else axis
     if not 0 <= axis < rank:
         raise ShapeError("slice_axis", x.shape, detail=f"axis {axis} out of range")
-    if not 0 <= start < stop <= x.shape[axis]:
-        raise ShapeError("slice_axis", x.shape, detail=f"bounds [{start},{stop}) invalid on axis {axis}")
+    if not all(isinstance(v, (int, np.integer)) for v in (start, stop)) or not 0 <= start < stop <= x.shape[axis]:
+        raise ShapeError("slice_axis", x.shape, detail=f"bounds [{start!r},{stop!r}) invalid on axis {axis}")
     slicer = [slice(None)] * rank
     slicer[axis] = slice(start, stop)
     out, xshape = Tensor(x.data[tuple(slicer)].copy()), x.shape
@@ -482,37 +486,38 @@ def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = 
     if x.data.ndim < 2:
         raise ShapeError(op, x.shape, detail="rank >= 2 required")
     n, c = x.shape[:2]
-    if groups < 1 or c % groups:
-        raise ShapeError(op, x.shape, detail=f"{groups} groups do not divide {c} channels")
+    if not isinstance(groups, (int, np.integer)) or groups < 1 or c % groups:
+        raise ShapeError(op, x.shape, detail=f"{groups!r} groups do not divide {c} channels")
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError(op, x.shape, scale.shape, shift.shape, detail=f"need one entry per channel ({c})")
-    xg = x.data.reshape(n, groups, c // groups, *x.shape[2:])
-    axes = tuple(range(2, xg.ndim))
-    xhat = xg - xg.mean(axis=axes, keepdims=True)
-    std = (np.mean(xhat * xhat, axis=axes, keepdims=True) + NORM_EPS) ** 0.5
-    xhat /= std
-    per_channel = (1, c) + (1,) * (x.data.ndim - 2)
-    gain = scale.data.reshape(per_channel)
-    y = xhat.reshape(x.shape) * gain
-    y += shift.data.reshape(per_channel)
-    out, xshape, gshape = Tensor(y), x.shape, xg.shape
+    xshape, cg = x.shape, c // groups
+    size = math.prod(xshape[1:]) // groups  # entries per (sample, group)
+    xg = x.data.reshape(n, groups, size)
+    xc = xg - xg.mean(axis=2, keepdims=True)
+    inv = (np.einsum("ngm,ngm->ng", xc, xc) / size + NORM_EPS) ** -0.5  # 1 / std per (sample, group)
+    xc = xc.reshape(n, groups, cg, -1)  # axes: sample, group, channel in group, the rest
+    gain = scale.data.reshape(groups, cg)
+    y = xc * (gain[..., None] * inv[:, :, None, None])
+    y += shift.data.reshape(groups, cg, 1)
 
     def grad_x(g):
-        # closed form of the normalisation's backward (Wu & He, 2018), on the
-        # owned gx and one scratch buffer
-        gx = (g * gain).reshape(gshape)
-        scratch = gx * xhat
-        k = np.mean(scratch, axis=axes, keepdims=True)
-        gx -= gx.mean(axis=axes, keepdims=True)
-        np.multiply(xhat, k, out=scratch)
-        gx -= scratch
-        gx /= std
+        # closed form of the normalisation's backward (Wu & He, 2018), from the
+        # per-(sample, channel) sums of g and of g * xc
+        g = g.reshape(xc.shape)
+        mean_g = np.einsum("ngc,gc->ng", np.einsum("ngcr->ngc", g), gain)[:, :, None, None] / size
+        mean_gxc = np.einsum("ngc,gc->ng", np.einsum("ngcr,ngcr->ngc", g, xc), gain)[:, :, None, None] / size
+        inv4 = inv[:, :, None, None]
+        gx = g * (gain[..., None] * inv4)
+        t = xc * (-inv4 ** 3 * mean_gxc)
+        t -= inv4 * mean_g
+        gx += t
         return gx.reshape(xshape)
 
+    def grad_scale(g):
+        return np.einsum("ngc,ng->gc", np.einsum("ngcr,ngcr->ngc", g.reshape(xc.shape), xc), inv).reshape(c)
+
     summed = (0,) + tuple(range(2, x.data.ndim))
-    return _record(out, (x, grad_x),
-                   (scale, lambda g: (g.reshape(gshape) * xhat).reshape(xshape).sum(axis=summed)),
-                   (shift, lambda g: g.sum(axis=summed)))
+    return _record(Tensor(y.reshape(xshape)), (x, grad_x), (scale, grad_scale), (shift, lambda g: g.sum(axis=summed)))
 
 
 # ---------------------------------------------------------------------------
@@ -523,49 +528,37 @@ def _conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - k) // stride + 1
 
 
-def _inside(extent: int, k: int, stride: int, pad: int, out_extent: int) -> list[tuple[int, int, slice]]:
-    """Per kernel offset: the output range [lo, hi) whose window tap lies inside
-    the input along one axis, and the input slice that range reads."""
-    ranges = []
-    for off in range(k):
-        lo = min(out_extent, max(0, -((off - pad) // stride)))
-        hi = max(lo, min(out_extent, (extent - 1 + pad - off) // stride + 1))
-        start = lo * stride + off - pad
-        ranges.append((lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)))
-    return ranges
+def _phases(xshape: tuple, stride: int, pad: int, rows: int, cols: int) -> list[tuple[tuple, tuple]]:
+    """Per phase (a, b) of the zero-padded input, split into stride x stride
+    planes of (rows, cols): the plane entries that input pixels land on, as an
+    index into (N, C, stride, stride, rows, cols), and those pixels' index."""
+
+    def axis(extent, phase, count):
+        first = (phase - pad) % stride
+        src = range(first, max(first, min(extent, stride * count - pad)), stride)
+        at = (first + pad) // stride
+        return slice(at, at + len(src)), slice(src.start, src.stop, stride)
+
+    rs = [axis(xshape[2], a, rows) for a in range(stride)]
+    cs = [axis(xshape[3], b, cols) for b in range(stride)]
+    return [((..., a, b, pr, pc), (..., xr, xc)) for a, (pr, xr) in enumerate(rs) for b, (pc, xc) in enumerate(cs)]
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
-    """(N,C,H,W) -> contiguous windows (N, C, k, k, Ho, Wo), zero where a window leaves the input."""
-    n, c, h, w = x.shape
-    if k == 1 and stride == 1 and pad == 0:
-        return x.reshape(n, c, 1, 1, h, w)
-    cols = np.empty((n, c, k, k, ho, wo))
-    cranges = _inside(w, k, stride, pad, wo)
-    for ki, (r0, r1, rows) in enumerate(_inside(h, k, stride, pad, ho)):
-        for kj, (c0, c1, cs) in enumerate(cranges):
-            dst = cols[:, :, ki, kj]
-            dst[:, :, :r0] = 0.0
-            dst[:, :, r1:] = 0.0
-            dst[:, :, r0:r1, :c0] = 0.0
-            dst[:, :, r0:r1, c1:] = 0.0
-            if r0 < r1 and c0 < c1:
-                dst[:, :, r0:r1, c0:c1] = x[:, :, rows, cs]
-    return cols
+def _planes(x: np.ndarray, stride: int, pad: int, rows: int, cols: int, spare: int) -> np.ndarray:
+    """The zero-padded input as phase planes, each flat: (N, C, stride, stride, rows * cols + spare)."""
+    buf = np.zeros(x.shape[:2] + (stride, stride, rows * cols + spare))
+    grid = buf[..., :rows * cols].reshape(x.shape[:2] + (stride, stride, rows, cols))
+    for plane, pixels in _phases(x.shape, stride, pad, rows, cols):
+        grid[plane] = x[pixels]
+    return buf
 
 
-def _col2im(gcols: np.ndarray, xshape: tuple, stride: int, pad: int) -> np.ndarray:
-    """Scatter-add window gradients (N, C, k, k, Ho, Wo) back onto the (N, C, H, W) input."""
-    n, c, h, w = xshape
-    k, ho, wo = gcols.shape[2], gcols.shape[4], gcols.shape[5]
-    if k == 1 and stride == 1 and pad == 0:
-        return gcols.reshape(xshape)
+def _unplanes(buf: np.ndarray, xshape: tuple, stride: int, pad: int, rows: int, cols: int) -> np.ndarray:
+    """Gradients on flat phase planes back onto the input; pixels no window reads get 0."""
+    grid = buf[..., :rows * cols].reshape(xshape[:2] + (stride, stride, rows, cols))
     gx = np.zeros(xshape)
-    cranges = _inside(w, k, stride, pad, wo)
-    for ki, (r0, r1, rows) in enumerate(_inside(h, k, stride, pad, ho)):
-        for kj, (c0, c1, cs) in enumerate(cranges):
-            if r0 < r1 and c0 < c1:
-                gx[:, :, rows, cs] += gcols[:, :, ki, kj, r0:r1, c0:c1]
+    for plane, pixels in _phases(xshape, stride, pad, rows, cols):
+        gx[pixels] = grid[plane]
     return gx
 
 
@@ -573,8 +566,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     """Cross-correlation of NCHW input with a kernel (no kernel flip).
 
     The kernel is dense, (O, C, K, K), or depthwise, (C, 1, K, K), where
-    output channel i filters input channel i alone. Either way the op is a
-    grouped GEMM over G = C / kernel.shape[1] groups: G is 1 or C.
+    output channel i filters input channel i alone. Each kernel tap reads a
+    view of the zero-padded input's phase planes (see the design notes).
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("conv2d", x.shape, kernel.shape, detail="NCHW input and OCKK kernel required")
@@ -592,24 +585,67 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if ho < 1 or wo < 1:
         raise ShapeError("conv2d", x.shape, kernel.shape, detail=f"output extent {ho}x{wo} non-positive")
 
-    groups, xd, xshape, kshape = c // ck, x.data, x.shape, kernel.shape
+    xd, xshape, kshape, s = x.data, x.shape, kernel.shape, stride
+    e = (kh - 1) // s  # how far a tap's offset reaches into a phase plane, in rows and columns
+    rows, wq = ho + e, wo + e
+    m = ho * wq  # a tap's view: Ho rows of Wq entries, whose columns past Wo are cropped
+    direct = kh == 1 and s == 1 and padding == 0  # x is its own single plane
+    depthwise = ck == 1 and o == c
+    taps = [(ki % s, kj % s, (ki // s) * wq + kj // s) for ki in range(kh) for kj in range(kw)]
+    wt = np.ascontiguousarray(kernel.data.reshape(o, ck, kh * kw).transpose(2, 0, 1))  # per tap (O, C) or (C, 1)
 
-    def windows():  # built again by the kernel gradient, so the tape holds no im2col buffer
-        return _im2col(xd, kh, stride, padding, ho, wo).reshape(n, groups, ck * kh * kw, ho * wo)
+    def planes():  # built again by the kernel gradient, so the tape holds only x
+        return xd.reshape(n, c, 1, 1, m) if direct else _planes(xd, s, padding, rows, wq, e)
 
-    wmat = kernel.data.reshape(groups, o // groups, ck * kh * kw)
-    out = Tensor((wmat @ windows()).reshape(n, o, ho, wo))
-    gmat = (n, groups, o // groups, ho * wo)  # the output gradient as per-group GEMM outputs
+    def view(p, t):  # tap t's window of every output: (N, C, Ho * Wq) with contiguous rows
+        a, b, off = taps[t]
+        return p[:, :, a, b, off:off + m]
+
+    def tap_back(t, gg, out=None):
+        return np.multiply(gg, wt[t], out=out) if depthwise else np.matmul(wt[t].T, gg, out=out)
+
+    p = planes()
+    if depthwise or (c < o and kh > 1):  # few inputs per output: gather the taps for one GEMM per group
+        cols = np.empty((n, c, kh * kw, ho, wo))
+        for t in range(len(taps)):
+            cols[:, :, t] = view(p, t).reshape(n, c, ho, wq)[..., :wo]
+        groups = c // ck
+        y = kernel.data.reshape(groups, o // groups, ck * kh * kw) @ cols.reshape(n, groups, ck * kh * kw, ho * wo)
+        y = y.reshape(n, o, ho, wo)
+    else:  # one (O, C) GEMM per tap, added into the output
+        y, scratch = wt[0] @ view(p, 0), None
+        for t in range(1, len(taps)):
+            scratch = np.matmul(wt[t], view(p, t), out=scratch)
+            y += scratch
+        y = y.reshape(n, o, ho, wq)[..., :wo]
+    del p  # free the planes before the crop copy
+    out = Tensor(np.ascontiguousarray(y))
+
+    def grid(g):  # the output gradient on the Ho x Wq grid, zero past Wo
+        if wq == wo:
+            return g.reshape(n, o, m)
+        gg = np.zeros((n, o, ho, wq))
+        gg[..., :wo] = g
+        return gg.reshape(n, o, m)
 
     def grad_x(g):
-        wt, gg = wmat.transpose(0, 2, 1), g.reshape(gmat)
-        # With one output channel per group (depthwise) the GEMM's inner dimension
-        # is 1 and numpy runs n * groups tiny products; the broadcast is equal.
-        gcols = wt * gg if o == groups else wt @ gg
-        return _col2im(gcols.reshape(n, c, kh, kw, ho, wo), xshape, stride, padding)
+        gg = grid(g)
+        if direct:
+            return tap_back(0, gg).reshape(xshape)
+        gp, scratch = np.zeros((n, c, s, s, rows * wq + e)), None
+        for t in range(len(taps)):
+            scratch = tap_back(t, gg, out=scratch)
+            v = view(gp, t)
+            v += scratch
+        return _unplanes(gp, xshape, s, padding, rows, wq)
 
     def grad_kernel(g):
-        return (g.reshape(gmat) @ windows().transpose(0, 1, 3, 2)).sum(axis=0).reshape(kshape)
+        gg, p = grid(g), planes()
+        if depthwise:
+            per_tap = [np.einsum("ncm,ncm->c", gg, view(p, t)) for t in range(len(taps))]
+        else:
+            per_tap = [(gg @ view(p, t).transpose(0, 2, 1)).sum(axis=0) for t in range(len(taps))]
+        return np.stack(per_tap, axis=-1).reshape(kshape)
 
     return _record(out, (x, grad_x), (kernel, grad_kernel))
 
@@ -666,6 +702,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
 
     Error per element: |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise DomainError(f"grad_check: step {eps!r} must be finite and positive")
     leaf = Tensor(x.data.copy(), requires_grad=True)
     with Tape() as tape:
         y = f(leaf)

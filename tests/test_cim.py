@@ -14,7 +14,7 @@ from causalseg.cim import (
     objective_graph,
     rff_map,
 )
-from causalseg.errors import ConfigError, DegenerateInputError, ShapeError, SimplexError
+from causalseg.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError, SimplexError
 from causalseg.tensor import Tape, Tensor, grad_check
 
 
@@ -156,6 +156,20 @@ class TestCrossCov:
     def test_negative_weight_rejected(self):
         with pytest.raises(SimplexError):
             SampleWeights(np.array([-0.5, 2.0, 1.5]), 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN fails both the sign and the sum test, so it is caught first
+        w = np.ones(4)
+        w[0] = bad
+        with pytest.raises(NonFiniteError) as err:
+            SampleWeights(w, 4)
+        assert err.value.index == 0
+        weights = SampleWeights.uniform(4)
+        weights.w[2] = bad
+        with pytest.raises(NonFiniteError) as err:
+            cim_loss(Tensor(np.ones(4)), weights)
+        assert err.value.index == 2
 
 
 class TestObjective:

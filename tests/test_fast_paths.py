@@ -283,9 +283,9 @@ class TestConvBackward:
         x, kernel = g.normal(size=(2, 3, 4, 5)), g.normal(size=(3, 1, 3, 3) if op == "depthwise" else (4, 3, 3, 3))
         conv = {"conv2d": lambda t, k: T.conv2d(t, k, 1, 1), "depthwise": lambda t, k: T.conv2d(t, k, 2, 1),
                 "upsample_conv2d": T.upsample_conv2d}[op]
-        scatters = []
-        col2im = T._col2im
-        monkeypatch.setattr(T, "_col2im", lambda *a: scatters.append(a) or col2im(*a))
+        scatters = []  # calls of the helper that maps gradient planes onto x
+        unplanes = T._unplanes
+        monkeypatch.setattr(T, "_unplanes", lambda *a: scatters.append(a) or unplanes(*a))
         kernel_grads = []
         for x_requires_grad in (True, False):
             xt, kt = Tensor(x, requires_grad=x_requires_grad), Tensor(kernel, requires_grad=True)
@@ -297,6 +297,50 @@ class TestConvBackward:
             scatters.clear()
             kernel_grads.append(grads[kt])
         np.testing.assert_array_equal(kernel_grads[1], kernel_grads[0])
+
+
+# The phase-plane conv against the sliding-window oracles: strides 1-3,
+# pads 0-2 plus one wider than K // 2 for every K, even and odd extents,
+# and each forward path: dense with C < O (gathered taps), dense with C >= O
+# (one GEMM per tap) and depthwise.
+SWEEP = [(k, s, p) for k, s in itertools.product((1, 3, 5), (1, 2, 3)) for p in sorted({0, 1, 2, k // 2 + 1})]
+SWEEP_CHANNELS = [(2, 5), (5, 3), (4, 4), "depthwise"]  # (C, O)
+
+
+class TestConvSweep:
+    @pytest.mark.parametrize("k,stride,pad", SWEEP)
+    def test_matches_oracles(self, k, stride, pad):
+        g = rng(41)
+        for (h, w), channels in itertools.product([(8, 8), (7, 9)], SWEEP_CHANNELS):
+            depthwise = channels == "depthwise"
+            c, o = (3, 3) if depthwise else channels
+            x, kernel = g.normal(size=(2, c, h, w)), g.normal(size=(o, 1 if depthwise else c, k, k))
+            kt = Tensor(kernel, requires_grad=True)
+            y, (gx, gk) = fwd_bwd(lambda t: T.conv2d(t, kt, stride, pad), [x], [kt])
+            cotangent = rng(99).normal(size=y.shape)
+            if depthwise:
+                expected = [oracle_depthwise(x, kernel[:, 0], stride, pad)]
+                ox, ok = oracle_depthwise_grads(x, kernel[:, 0], cotangent, stride, pad)
+                expected += [ox, ok[:, None]]
+            else:
+                expected = [oracle_conv2d(x, kernel, stride, pad), *oracle_conv2d_grads(x, kernel, cotangent, stride, pad)]
+            for got, want in zip((y, gx, gk), expected):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    # Metamorphic: at stride 1 with symmetric padding a cross-correlation
+    # commutes with a horizontal flip, and with a 90 degree rotation of a
+    # square input, once the kernel is flipped or rotated the same way.
+    @pytest.mark.parametrize("channels", SWEEP_CHANNELS[:2] + ["depthwise"])
+    @pytest.mark.parametrize("k,pad", [(3, 1), (3, 0), (5, 2), (1, 1)])
+    def test_flip_and_rotation_equivariant(self, channels, k, pad):
+        g = rng(42)
+        depthwise = channels == "depthwise"
+        c, o = (4, 4) if depthwise else channels
+        x, kernel = g.normal(size=(2, c, 7, 7)), g.normal(size=(o, 1 if depthwise else c, k, k))
+        y = T.conv2d(Tensor(x), Tensor(kernel), 1, pad).data
+        for move in (lambda a: np.flip(a, 3), lambda a: np.rot90(a, 1, axes=(2, 3))):
+            moved = T.conv2d(Tensor(move(x).copy()), Tensor(move(kernel).copy()), 1, pad).data
+            np.testing.assert_allclose(moved, move(y), rtol=0, atol=1e-12 * np.max(np.abs(y)))
 
 
 class TestConstantEdges:

@@ -474,9 +474,9 @@ class TestTapeHolds:
         assert set(map(id, grads)) == {id(t) for t in (x, k, scale, shift)}
 
     def test_conv_keeps_no_im2col_buffer(self):
-        # 3x3 windows over 16 channels: the im2col buffer is 9x the input. The
-        # kernel gradient rebuilds it from x, so the tape holds the output and
-        # not the buffer.
+        # 3x3 windows over 16 channels: an im2col buffer would be 9x the input.
+        # The kernel gradient rebuilds its phase planes from x, so the tape
+        # holds the output and no buffer.
         g = rng(34)
         x = Tensor(g.normal(size=(2, 16, 16, 16)), requires_grad=True)
         k = Tensor(g.normal(size=(4, 16, 3, 3)), requires_grad=True)
@@ -492,6 +492,26 @@ class TestTapeHolds:
         assert held < cols_bytes
         backward(loss, tape)
         assert k.grad is not None and x.grad is not None
+
+
+    def test_conv_forward_builds_no_im2col_buffer(self):
+        # With at least as many input as output channels each 3x3 tap runs its
+        # own GEMM on a view of the phase planes: the forward's peak stays
+        # below the 9x buffer an im2col conv would build.
+        g = rng(35)
+        x = Tensor(g.normal(size=(2, 16, 16, 16)), requires_grad=True)
+        k = Tensor(g.normal(size=(8, 16, 3, 3)), requires_grad=True)
+        cols_bytes = 9 * x.data.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape():
+                y = T.conv2d(x, k, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (2, 8, 16, 16)
+        assert peak < cols_bytes / 2
 
 
 class TestGradCheck:
@@ -603,8 +623,22 @@ class TestGradCheck:
     (lambda: T.log(Tensor([1.0, np.nan])), DomainError, None),
     (lambda: T.power(Tensor([np.nan]), 0.5), DomainError, None),
     (lambda: T.power(Tensor([4.0, np.nan]), -1.5), DomainError, None),
+    (lambda: B.group_norm(Tensor(np.ones((1, 4, 2, 2))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 2.0),
+     ShapeError, "group_norm"),
+    (lambda: T.affine_norm(Tensor(np.ones((1, 4, 2, 2))), Tensor(np.ones(4)), Tensor(np.zeros(4)), np.float64(2.0),
+                           op="group_norm"), ShapeError, "group_norm"),
+    (lambda: T.affine_norm(Tensor(np.ones((3, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1.0, op="layer_norm"),
+     ShapeError, "layer_norm"),
+    (lambda: T.slice_axis(Tensor(np.ones((2, 3))), 1, 0.0, 2), ShapeError, "slice_axis"),
+    (lambda: T.slice_axis(Tensor(np.ones((2, 3))), 1, 0, np.float64(2.0)), ShapeError, "slice_axis"),
+    (lambda: grad_check(T.total_sum, Tensor(np.ones(2)), eps=0.0), DomainError, None),
+    (lambda: grad_check(T.total_sum, Tensor(np.ones(2)), eps=-1e-5), DomainError, None),
+    (lambda: grad_check(T.total_sum, Tensor(np.ones(2)), eps=np.nan), DomainError, None),
+    (lambda: grad_check(T.total_sum, Tensor(np.ones(2)), eps=np.inf), DomainError, None),
 ], ids=["reshape-2-2", "reshape-1-4", "reshape-1_4", "conv-stride1.5", "conv-stride2.0", "conv-pad0.5",
-        "log-nan", "log-1-nan", "pow-nan", "pow-4-nan"])
+        "log-nan", "log-1-nan", "pow-nan", "pow-4-nan", "group-norm-2.0", "affine-norm-np2.0", "layer-norm-1.0",
+        "slice-start0.0", "slice-stop-np2.0", "grad-check-eps0", "grad-check-eps-neg", "grad-check-eps-nan",
+        "grad-check-eps-inf"])
 def test_structured_errors_at_the_boundary(call, error, op):
     with pytest.raises(error) as err:
         call()
