@@ -49,6 +49,8 @@ class BlockParams:
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+    if not T.is_int(fan_in, *shape) or min((fan_in, *shape)) < 1:
+        raise ConfigError(f"parameter {shape} with fan-in {fan_in}: extents and fan-in must be positive integers")
     bound = (1.0 / fan_in) ** 0.5
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
@@ -91,24 +93,33 @@ def add_bias(x: Tensor, bias: Tensor) -> Tensor:
 
 
 def simam(x: Tensor, cfg: SimamConfig) -> Tensor:
-    """Reweight activations by a sigmoid energy score; parameter-free.
+    """Reweight activations by a sigmoid energy score; parameter-free, one tape node.
 
     Per channel, each position's squared deviation from the channel mean is
     compared against the channel variance (divisor H*W-1):
         a = sigmoid(d / (4 * (v + lam)) + 0.5),  output = x * a
-    Coefficients always lie strictly inside (0, 1).
+    The energy is at least 0.5, so the plain logistic cannot overflow; the
+    coefficients lie in (0, 1) up to rounding near 1. The backward repeats, in
+    order, the arithmetic of the elementwise composite, so it rounds alike.
     """
     if x.data.ndim != 4:
         raise ShapeError("simam", x.shape, detail="NCHW tensor required")
-    n, c, h, w = x.shape
-    hw = h * w
+    hw = x.shape[2] * x.shape[3]
     if hw < 2:
         raise DegenerateInputError("simam: each channel needs at least 2 spatial positions")
-    dev = T.sub(x, T.reshape(T.reduce_mean(x, (2, 3)), (n, c, 1, 1)))
-    d = T.mul(dev, dev)
-    v = T.reshape(T.reduce_sum(d, (2, 3)), (n, c, 1, 1)) / float(hw - 1)
-    energy = T.div(d, (v + cfg.lam) * 4.0) + 0.5
-    return T.mul(x, T.sigmoid(energy))
+    xd = x.data
+    dev = xd - xd.mean(axis=(2, 3), keepdims=True)
+    d = dev * dev
+    den = (d.sum(axis=(2, 3), keepdims=True) / (hw - 1) + cfg.lam) * 4.0
+    a = 1.0 / (1.0 + np.exp(-(d / den + 0.5)))
+
+    def grad_x(g):
+        ge = g * xd * a * (1.0 - a)  # the energy's gradient
+        gdev = (ge / den + (-ge * d / (den * den)).sum(axis=(2, 3), keepdims=True) * 4.0 / (hw - 1)) * dev
+        gdev += gdev  # d = dev * dev: one term per factor
+        return g * a + gdev + (-gdev).sum(axis=(2, 3), keepdims=True) / hw
+
+    return T._record(Tensor(xd * a), (x, grad_x))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +194,8 @@ def mbconv(x: Tensor, params: BlockParams, stride: int) -> Tensor:
 
 
 def make_transformer_params(rng, channels: int, image_extent: int, patch: int, heads: int) -> BlockParams:
+    if not T.is_int(patch, heads) or min(patch, heads) < 1:
+        raise ConfigError(f"patch {patch!r} and heads {heads!r} must be positive integers")
     if image_extent % patch != 0:
         raise ConfigError(f"patch {patch} does not divide extent {image_extent}")
     width = channels * patch * patch
@@ -239,6 +252,9 @@ def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int) ->
     if x.data.ndim != 4:
         raise ShapeError("transformer_block", x.shape, detail="NCHW tensor required")
     n, c, h, w = x.shape
+    if not T.is_int(patch, heads) or min(patch, heads) < 1:
+        raise ShapeError("transformer_block", x.shape,
+                         detail=f"patch {patch!r} and heads {heads!r} must be positive integers")
     if h % patch or w % patch:
         raise ShapeError("transformer_block", x.shape, detail=f"patch {patch} does not divide spatial extents")
     width = c * patch * patch

@@ -44,8 +44,8 @@ class RFFBank:
     phi: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n_f < 1:
-            raise ConfigError(f"n_f must be positive, got {self.n_f}")
+        if not T.is_int(self.n_f, self.seed) or self.n_f < 1 or self.seed < 0:
+            raise ConfigError(f"n_f must be a positive and seed a non-negative integer: {self.n_f!r}, {self.seed!r}")
         rng = np.random.default_rng(self.seed)
         self.omega = rng.standard_normal(self.n_f)
         self.phi = rng.uniform(0.0, 2.0 * np.pi, self.n_f)
@@ -59,6 +59,7 @@ class SampleWeights:
     n: int
 
     def __post_init__(self):
+        _check_count(self.n)
         self.w = np.asarray(self.w, dtype=np.float64)
         if self.w.shape != (self.n,):
             raise ShapeError("sample_weights", self.w.shape, (self.n,))
@@ -66,7 +67,13 @@ class SampleWeights:
 
     @classmethod
     def uniform(cls, n: int) -> "SampleWeights":
-        return cls(np.ones(n), n)
+        return cls(np.ones(_check_count(n)), n)
+
+
+def _check_count(n) -> int:
+    if not T.is_int(n) or n < 1:
+        raise ConfigError(f"sample count must be a positive integer, got {n!r}")
+    return n
 
 
 def validate_simplex(w: np.ndarray) -> None:
@@ -90,7 +97,7 @@ class CimConfig:
 
     def __post_init__(self):
         counts = (self.n_f, self.m_features, self.inner_steps)
-        if not all(isinstance(v, (int, np.integer)) for v in counts + (self.seed,)):
+        if not T.is_int(*counts, self.seed):
             raise ConfigError(f"cim counts and seed must be integers, got {self}")
         if min(counts) < 1:
             raise ConfigError(f"cim counts must be positive, got {self}")

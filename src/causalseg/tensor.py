@@ -115,6 +115,11 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def is_int(*values) -> bool:
+    """True when every value is a Python or numpy integer: extents, axes, strides, counts."""
+    return all(isinstance(v, (int, np.integer)) for v in values)
+
+
 class _Key:
     """Names a tensor that a tape produced, by the tape's token and never the tape:
     a Tensor -> key -> tape -> closure -> Tensor cycle waits for the cyclic GC."""
@@ -294,15 +299,6 @@ def power(a: Tensor, exponent: float) -> Tensor:
     return _record(out, (a, lambda g: g * p * ad ** (p - 1.0) if p != 0.0 else np.zeros_like(ad)))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    # piecewise form avoids exp overflow for large |x|
-    e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor(s)
-    return _record(out, (a, lambda g: g * out.data * (1.0 - out.data)))
-
-
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     return _record(out, (a, lambda g: g * (out.data > 0.0)))  # the mask of a > 0, NaN included
@@ -347,15 +343,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # reductions
 
 
-def _normalize_axes(op: str, axes: Iterable[int], rank: int) -> tuple[int, ...]:
-    norm = []
+def _normalize_axes(op: str, axes: Iterable[int], shape: tuple[int, ...]) -> tuple[int, ...]:
+    rank, norm = len(shape), []
     for ax in axes:
-        a = ax + rank if ax < 0 else ax
-        if not 0 <= a < rank:
-            raise ShapeError(op, (rank,), detail=f"axis {ax} out of range for rank {rank}")
-        norm.append(a)
+        if not is_int(ax) or not -rank <= ax < rank:
+            raise ShapeError(op, shape, detail=f"axis {ax!r} is not an integer in [{-rank}, {rank})")
+        norm.append(ax % rank)
     if len(set(norm)) != len(norm):
-        raise ShapeError(op, (rank,), detail="duplicate reduction axis")
+        raise ShapeError(op, shape, detail="duplicate axis")
     return tuple(sorted(norm))
 
 
@@ -366,7 +361,7 @@ def _expand_like(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -
 
 
 def reduce_sum(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = _normalize_axes("reduce_sum", axes, x.data.ndim)
+    axes = _normalize_axes("reduce_sum", axes, x.shape)
     if not axes:
         return x
     out, shape = Tensor(x.data.sum(axis=axes)), x.shape
@@ -374,7 +369,7 @@ def reduce_sum(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def reduce_mean(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = _normalize_axes("reduce_mean", axes, x.data.ndim)
+    axes = _normalize_axes("reduce_mean", axes, x.shape)
     if not axes:
         return x
     n, shape = int(np.prod([x.shape[a] for a in axes])), x.shape
@@ -395,9 +390,9 @@ def total_mean(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if any(s < 0 for s in shape):
-        raise ShapeError("reshape", x.shape, shape, detail="negative extent")
+    shape = tuple(shape)
+    if not is_int(*shape) or any(s < 0 for s in shape):
+        raise ShapeError("reshape", x.shape, shape, detail="extents must be non-negative integers")
     if int(np.prod(shape)) != x.size:
         raise ShapeError("reshape", x.shape, shape, detail="element count changes")
     out, xshape = Tensor(x.data.reshape(shape)), x.shape
@@ -406,7 +401,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    if sorted(axes) != list(range(x.data.ndim)):
+    if not is_int(*axes) or sorted(axes) != list(range(x.data.ndim)):
         raise ShapeError("transpose", x.shape, detail=f"invalid permutation {axes}")
     inv = np.argsort(axes)
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
@@ -417,9 +412,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if len(parts) == 0:
         raise ShapeError("concat", (), detail="no parts")
     rank = parts[0].data.ndim
-    if not -rank <= axis < rank:
-        raise ShapeError("concat", parts[0].shape, detail=f"axis {axis} out of range for rank {rank}")
-    axis %= rank
+    (axis,) = _normalize_axes("concat", (axis,), parts[0].shape)
     if len(parts) == 1:
         return parts[0]
     for p in parts[1:]:
@@ -441,13 +434,10 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    rank = x.data.ndim
-    axis = axis + rank if axis < 0 else axis
-    if not 0 <= axis < rank:
-        raise ShapeError("slice_axis", x.shape, detail=f"axis {axis} out of range")
-    if not all(isinstance(v, (int, np.integer)) for v in (start, stop)) or not 0 <= start < stop <= x.shape[axis]:
+    (axis,) = _normalize_axes("slice_axis", (axis,), x.shape)
+    if not is_int(start, stop) or not 0 <= start < stop <= x.shape[axis]:
         raise ShapeError("slice_axis", x.shape, detail=f"bounds [{start!r},{stop!r}) invalid on axis {axis}")
-    slicer = [slice(None)] * rank
+    slicer = [slice(None)] * x.data.ndim
     slicer[axis] = slice(start, stop)
     out, xshape = Tensor(x.data[tuple(slicer)].copy()), x.shape
 
@@ -469,7 +459,7 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     The backward repeats, in order, the arithmetic of the composite
     exp(x - max) / sum, so gradients round as the composite's did.
     """
-    (axis,) = _normalize_axes("softmax", (axis,), x.data.ndim)
+    (axis,) = _normalize_axes("softmax", (axis,), x.shape)
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
     total = e.sum(axis=axis, keepdims=True)
     out = Tensor(e / total)
@@ -486,7 +476,7 @@ def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = 
     if x.data.ndim < 2:
         raise ShapeError(op, x.shape, detail="rank >= 2 required")
     n, c = x.shape[:2]
-    if not isinstance(groups, (int, np.integer)) or groups < 1 or c % groups:
+    if not is_int(groups) or groups < 1 or c % groups:
         raise ShapeError(op, x.shape, detail=f"{groups!r} groups do not divide {c} channels")
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError(op, x.shape, scale.shape, shift.shape, detail=f"need one entry per channel ({c})")
@@ -578,7 +568,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if ck != c and (o, ck) != (c, 1):
         raise ShapeError("conv2d", x.shape, kernel.shape,
                          detail=f"kernel expects {ck} channels, input has {c}, and is not depthwise ({c}, 1, K, K)")
-    if not all(isinstance(v, (int, np.integer)) for v in (stride, padding)) or stride < 1 or padding < 0:
+    if not is_int(stride, padding) or stride < 1 or padding < 0:
         raise ShapeError("conv2d", x.shape, detail=f"stride {stride!r} / padding {padding!r} invalid")
     ho = _conv_out_extent(h, kh, stride, padding)
     wo = _conv_out_extent(w, kw, stride, padding)

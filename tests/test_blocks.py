@@ -69,8 +69,32 @@ class TestSimam:
             SimamConfig(lam=lam)
 
     def test_grad_check(self):
-        x = Tensor(rng(4).normal(size=(1, 2, 3, 3)))
-        assert grad_check(lambda t: T.total_sum(B.simam(t, SimamConfig())), x) < 1e-4
+        for shape in ((1, 2, 3, 3), (2, 3, 4, 5), (1, 1, 1, 2)):
+            g = rng(4)
+            x, weight = Tensor(g.normal(size=shape)), Tensor(g.normal(size=shape))
+            assert grad_check(lambda t: T.total_sum(T.mul(B.simam(t, SimamConfig()), weight)), x) < 1e-8, shape
+
+    def test_records_one_node(self):
+        x = Tensor(rng(8).normal(size=(2, 3, 4, 4)), requires_grad=True)
+        with T.Tape() as tape:
+            B.simam(x, SimamConfig())
+        assert len(tape) == 1
+
+    def test_extremes_finite(self):
+        """A hot pixel of 1e4, and a constant channel whose variance term is lam = 1e-12
+        alone: the coefficients stay finite and inside (0, 1), with no floating-point warning."""
+        x = np.ones((1, 2, 4, 4))
+        x[0, 0, 1, 2] = 1e4
+        x[0, 1] = 3.0
+        leaf = Tensor(x, requires_grad=True)
+        with np.errstate(all="raise"), T.Tape() as tape:
+            out = B.simam(leaf, SimamConfig(lam=1e-12))
+            loss = T.total_sum(out)
+        with np.errstate(all="raise"):
+            grad = T.backward(loss, tape)[leaf]
+        coeff = out.data / x
+        assert np.all(np.isfinite(coeff)) and np.all(coeff > 0.0) and np.all(coeff < 1.0)
+        assert np.all(np.isfinite(grad))
 
 
 class TestGroupNorm:
@@ -129,6 +153,11 @@ class TestGroupNorm:
 
 
 class TestCnnDown:
+    @pytest.mark.parametrize("cin,cout", [(0, 8), (3, 0), (2.5, 8)])
+    def test_zero_or_fractional_channels_rejected(self, cin, cout):
+        with pytest.raises(ConfigError):
+            B.make_cnn_down_params(rng(6), cin, cout)
+
     def test_shape(self):
         p = B.make_cnn_down_params(rng(6), 3, 16)
         out = B.cnn_down(Tensor(rng(7).normal(size=(1, 3, 64, 64))), p)
@@ -252,6 +281,15 @@ class TestTransformer:
             B.transformer_block(Tensor(np.zeros((1, 8, 4, 4))), p, patch=2, heads=2)
         assert err.value.op == "transformer_block"
         assert err.value.shapes == ((16, 32), (4, 32))
+
+    @pytest.mark.parametrize("patch,heads", [(0, 2), (2, 0), (2.0, 2), (2, 2.0)])
+    def test_zero_or_fractional_patch_or_heads_rejected(self, patch, heads):
+        with pytest.raises(ConfigError):
+            B.make_transformer_params(rng(26), 4, 8, patch=patch, heads=heads)
+        p = B.make_transformer_params(rng(26), 4, 8, patch=2, heads=2)
+        with pytest.raises(ShapeError) as err:
+            B.transformer_block(Tensor(np.zeros((1, 4, 8, 8))), p, patch=patch, heads=heads)
+        assert err.value.op == "transformer_block"
 
     def test_indivisible_patch_rejected(self):
         p = B.make_transformer_params(rng(26), 4, 8, patch=2, heads=2)

@@ -55,6 +55,17 @@ def test_config_validation(bad):
         CimConfig(**bad)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: RFFBank(2.5, 0), lambda: RFFBank(0, 0), lambda: RFFBank(2, 0.5), lambda: RFFBank(2, -1),
+    lambda: SampleWeights.uniform(0), lambda: SampleWeights.uniform(-1), lambda: SampleWeights.uniform(2.0),
+    lambda: SampleWeights(np.ones(2), 2.0), lambda: SampleWeights(np.ones(0), 0),
+], ids=["bank-n_f2.5", "bank-n_f0", "bank-seed0.5", "bank-seed-1", "uniform0", "uniform-1", "uniform2.0",
+        "weights-n2.0", "weights-empty"])
+def test_counts_must_be_positive_integers(make):
+    with pytest.raises(ConfigError):
+        make()
+
+
 class TestRFF:
     def test_bank_reproducible(self):
         a, b = RFFBank(5, seed=42), RFFBank(5, seed=42)

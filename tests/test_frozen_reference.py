@@ -1,4 +1,4 @@
-"""conv2d and affine_norm against the frozen library copy in perfbench/reference.
+"""conv2d, affine_norm and simam against the frozen library copy in perfbench/reference.
 
 The copy is the library the benchmark's ``step_vs_ref`` divides by: its conv
 is an einsum over sliding windows with a strided scatter back, and its group
@@ -6,7 +6,8 @@ and layer norms are chains of reduce, expand and elementwise ops. It is
 loaded read-only under another package name, so it never shadows
 ``causalseg``. Every shape is one that the benchmark model's forward passes to
 the op at 64x64, batch 8. Forwards and every gradient must agree to 1e-12 of
-the largest value of each array.
+the largest value of each array; simam's, whose backward repeats the copy's
+arithmetic in order, must agree bit for bit.
 """
 
 import importlib
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from causalseg import blocks as B
 from causalseg import tensor as T
 from causalseg.tensor import Tape, Tensor, backward
 
@@ -57,6 +59,8 @@ NORMS = [
     ((8, 16, 16, 16), 8), ((8, 32, 32, 32), 8), ((8, 32, 16, 16), 8), ((8, 16, 16, 16), 8),
     ((512, 64), 1), ((512, 64), 1), ((8, 8, 32, 32), 8), ((8, 8, 64, 64), 8),
 ]
+# input shape of each simam call in the DAC layers of the three workloads
+SIMAMS = [(8, 16, 32, 32), (8, 32, 16, 16), (8, 16, 16, 16), (8, 32, 8, 8), (32, 16, 16, 16), (32, 32, 8, 8)]
 
 
 def output_and_grads(lib, fn, arrays, cotangent):
@@ -104,6 +108,17 @@ def test_affine_norm_matches_frozen(frozen, x_shape, groups):
     else:
         want = output_and_grads(ref, lambda a, s, b: ref_blocks.group_norm(a, s, b, groups), arrays, cotangent)
     assert_close(got, want)
+
+
+@pytest.mark.parametrize("x_shape", SIMAMS)
+def test_simam_matches_frozen_exactly(frozen, x_shape):
+    ref, ref_blocks = frozen
+    g = np.random.default_rng(53)
+    x, cotangent = g.normal(size=x_shape) * 2.0, g.normal(size=x_shape)
+    got = output_and_grads(T, lambda a: B.simam(a, B.SimamConfig()), [x], cotangent)
+    want = output_and_grads(ref, lambda a: ref_blocks.simam(a, ref_blocks.SimamConfig()), [x], cotangent)
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_frozen_copy_is_not_the_library(frozen):
