@@ -4,13 +4,15 @@ Feature variables are pooled channels of the deepest encoder output,
 standardised over the batch to the unit width of the frozen random-cosine
 bank each is lifted through (Rahimi & Recht, 2007). Placing the lifts side
 by side, scaling each row by its sample weight and centring the columns
-gives Z; S = Z^T Z / (n-1) then holds every pair's weighted cross-covariance
-as an off-diagonal block. The objective is the total squared Frobenius norm
-of those blocks over pairs i < j, that is 1/2 ||S - blockdiag(S)||_F^2,
-recorded on the tape by ``objective_graph``. The weight learner searches the
-scaled simplex {w >= 0, sum(w) = n} for weights that minimize it, by gradient
-descent on a softmax parameterization (always feasible, no projection step)
-with steps relative to the objective at uniform weights.
+without weights gives C; S = C^T C / (n-1) is the covariance of the
+w-scaled lifts, and each pair's cross-covariance under that scaling is one
+off-diagonal block. This is not the weighted covariance StableNet
+decorrelates (ROADMAP item 11). The objective is the total squared Frobenius
+norm of those blocks over pairs i < j, that is 1/2 ||S - blockdiag(S)||_F^2,
+recorded on the tape as one node by ``objective_graph``. The weight learner
+searches the scaled simplex {w >= 0, sum(w) = n} for weights that minimize
+it, by gradient descent on a softmax parameterization (always feasible, no
+projection step) with steps relative to the objective at uniform weights.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ def extract_feature_vars(f5, cfg: CimConfig, seed: int) -> np.ndarray:
     Returns an (n, m) matrix over a seeded, run-fixed subset of m channels,
     each standardised over the batch; a column with no spread gives zeros.
     """
+    if not T.is_int(seed):
+        raise ConfigError(f"extract_feature_vars: seed must be an integer, got {seed!r}")
     data = f5.data if isinstance(f5, Tensor) else np.asarray(f5)
     if data.ndim != 4:
         raise ShapeError("extract_feature_vars", data.shape, detail="NCHW tensor required")
@@ -164,9 +168,14 @@ def independence_objective(features: np.ndarray, banks: list[RFFBank],
 def objective_graph(lifted: list[np.ndarray], w: Tensor) -> Tensor:
     """Differentiable independence objective of constant lifts under weights w.
 
-    With Z the lifts side by side, rows scaled by w and centred, and
-    S = Z^T Z / (n-1), the objective is 1/2 ||S - blockdiag(S)||_F^2: each
+    With Z the lifts side by side, C = w * Z with its column means removed
+    (no weights in the centring) and S = C^T C / (n-1), the covariance of the
+    w-scaled lifts, the objective is 1/2 ||S - blockdiag(S)||_F^2: each
     off-diagonal block of S is one pair's cross-covariance and appears twice.
+    ROADMAP item 11 would replace S by a weighted covariance. Recorded as one
+    node whose backward is the closed form in w: dw = rowsum(G * Z) with
+    G = 2 C S / (n-1). The centring's backward would remove G's column
+    means, which are already 0 because C's are.
     """
     m = len(lifted)
     if m < 2:
@@ -174,14 +183,18 @@ def objective_graph(lifted: list[np.ndarray], w: Tensor) -> Tensor:
     n = lifted[0].shape[0]
     if any(u.ndim != 2 or u.shape[0] != n for u in lifted):
         raise ShapeError("objective_graph", *(u.shape for u in lifted), detail="matching row counts required")
+    if w.shape != (n,):
+        raise ShapeError("objective_graph", w.shape, (n,), detail="one weight per row required")
     z = np.hstack(lifted)
-    d = z.shape[1]
     owner = np.repeat(np.arange(m), [u.shape[1] for u in lifted])
-    off_block = Tensor((owner[:, None] != owner[None, :]).astype(np.float64))
-    wz = T.mul(Tensor(z), T.reshape(w, (n, 1)))
-    centred = T.sub(wz, T.reshape(T.reduce_mean(wz, (0,)), (1, d)))
-    s = T.mul(T.matmul(T.transpose(centred, (1, 0)), centred) / float(n - 1), off_block)
-    return T.total_sum(T.mul(s, s)) * 0.5
+    wz = z * w.data[:, None]
+    c = wz - wz.mean(axis=0)
+    s = (c.T @ c) / (n - 1) * (owner[:, None] != owner[None, :])
+
+    def grad_w(g):
+        return g * np.sum(c @ s * z, axis=1) * (2.0 / (n - 1))
+
+    return T._record(Tensor(np.sum(s * s) * 0.5), (w, grad_w))
 
 
 def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:

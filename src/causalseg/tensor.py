@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ShapeError, TapeError
+from .errors import DomainError, ShapeError, TapeError
 
 NORM_EPS = 1e-5  # added to the variance in affine_norm
 
@@ -681,42 +681,3 @@ def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     folded = reshape(transpose(folded, (2, 0, 1, 3)), (4 * o, c, 3, 3))
     y = reshape(conv2d(x, folded, 1, 1), (n, 2, 2, o, h, w))
     return reshape(transpose(y, (0, 3, 4, 1, 5, 2)), (n, o, 2 * h, 2 * w))
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients of f at x and central differences.
-
-    Error per element: |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise DomainError(f"grad_check: step {eps!r} must be finite and positive")
-    leaf = Tensor(x.data.copy(), requires_grad=True)
-    with Tape() as tape:
-        y = f(leaf)
-    if not isinstance(y, Tensor) or y.data.size != 1:
-        raise ShapeError("grad_check", getattr(y, "shape", ()), detail="f must return a scalar tensor")
-    grads = backward(y, tape)
-    analytic = grads.get(leaf)
-    if analytic is None:
-        analytic = np.zeros_like(leaf.data)
-
-    flat = leaf.data.reshape(-1)
-    ana = analytic.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(Tensor(leaf.data.copy())).item()
-        flat[i] = orig - eps
-        lo = f(Tensor(leaf.data.copy())).item()
-        flat[i] = orig
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise NonFiniteError("grad_check: non-finite evaluation", index=i)
-        numeric = (hi - lo) / (2.0 * eps)
-        err = abs(ana[i] - numeric) / max(1.0, abs(ana[i]), abs(numeric))
-        worst = max(worst, err)
-    return worst

@@ -7,7 +7,8 @@ from causalseg import blocks as B
 from causalseg import tensor as T
 from causalseg.errors import ConfigError, DegenerateInputError, ShapeError
 from causalseg.blocks import BlockParams, SimamConfig
-from causalseg.tensor import Tensor, grad_check
+from causalseg.tensor import Tensor
+from gradcheck import grad_check
 
 
 def rng(seed=0):

@@ -15,7 +15,9 @@ from causalseg.cim import (
     rff_map,
 )
 from causalseg.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError, SimplexError
-from causalseg.tensor import Tape, Tensor, grad_check
+from causalseg import cim
+from causalseg.tensor import Tape, Tensor, backward
+from gradcheck import grad_check
 
 
 def rng(seed=0):
@@ -28,7 +30,7 @@ def simplex_weights(n, seed):
 
 
 def brute_force_weighted_cov(u, v, w):
-    """Literal double-loop evaluation of the weighted centered outer-product sum."""
+    """Literal double-loop cross-covariance of the w-scaled rows, centred without weights."""
     n, du = u.shape
     dv = v.shape[1]
     mu_u = sum(w[j] * u[j] for j in range(n)) / n
@@ -41,11 +43,33 @@ def brute_force_weighted_cov(u, v, w):
 
 def pairwise_objective(features, banks, w):
     """Oracle: sum over feature pairs i < j of the squared Frobenius norm of
-    their brute-force weighted cross-covariance."""
+    their brute-force cross-covariance under the weights."""
     m = features.shape[1]
     lifted = [rff_map(features[:, k], banks[k]) for k in range(m)]
     return sum(float(np.sum(brute_force_weighted_cov(lifted[i], lifted[j], w) ** 2))
                for i in range(m) for j in range(i + 1, m))
+
+
+def composite_objective(lifted, w):
+    """Slow oracle for objective_graph: the same objective as a 12-node
+    composite of tape ops, differentiated by each op's own backward."""
+    m, n = len(lifted), lifted[0].shape[0]
+    z = np.hstack(lifted)
+    d = z.shape[1]
+    owner = np.repeat(np.arange(m), [u.shape[1] for u in lifted])
+    off_block = Tensor((owner[:, None] != owner[None, :]).astype(np.float64))
+    wz = T.mul(Tensor(z), T.reshape(w, (n, 1)))
+    centred = T.sub(wz, T.reshape(T.reduce_mean(wz, (0,)), (1, d)))
+    s = T.mul(T.matmul(T.transpose(centred, (1, 0)), centred) / float(n - 1), off_block)
+    return T.total_sum(T.mul(s, s)) * 0.5
+
+
+def value_grad_nodes(objective, lifted, w):
+    leaf = Tensor(np.array(w, dtype=np.float64), requires_grad=True)
+    with Tape() as tape:
+        out = objective(lifted, leaf)
+    backward(out, tape)
+    return out.item(), leaf.grad, len(tape)
 
 
 @pytest.mark.parametrize("bad", [{"m_features": 2.5}, {"m_features": 0}, {"n_f": 0}, {"n_f": np.nan},
@@ -222,26 +246,77 @@ class TestObjective:
 
     def test_weighted_cov_grad_check(self):
         # With m=2 the objective is the squared Frobenius norm of a single
-        # weighted cross-covariance; the blocks have unequal widths.
+        # cross-covariance; the blocks have unequal widths.
         u, v = rng(23).normal(size=(5, 3)), rng(24).normal(size=(5, 4))
         w0 = simplex_weights(5, seed=25)
-        assert grad_check(lambda t: objective_graph([u, v], t), Tensor(w0.w)) < 1e-4
+        assert grad_check(lambda t: objective_graph([u, v], t), Tensor(w0.w)) < 1e-8
 
     def test_objective_graph_grad_check(self):
         features = rng(26).normal(size=(5, 3))
         banks = make_banks(3, CimConfig())
         lifted = [rff_map(features[:, k], banks[k]) for k in range(3)]
         w0 = simplex_weights(5, seed=27)
-        assert grad_check(lambda t: objective_graph(lifted, t), Tensor(w0.w)) < 1e-4
+        assert grad_check(lambda t: objective_graph(lifted, t), Tensor(w0.w)) < 1e-8
 
     def test_node_count_independent_of_m(self):
-        counts = []
+        # One node for a weight vector that needs a gradient, none for a constant.
         for m in (2, 16):
             lifted = [rff_map(rng(m).normal(size=8), bank) for bank in make_banks(m, CimConfig())]
             with Tape() as tape:
                 objective_graph(lifted, Tensor(np.ones(8), requires_grad=True))
-            counts.append(len(tape))
-        assert counts[0] == counts[1]
+            assert len(tape) == 1
+            with Tape() as tape:
+                objective_graph(lifted, Tensor(np.ones(8)))
+            assert len(tape) == 0
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), ()])
+    def test_weight_count_must_match_rows(self, shape):
+        lifted = [rng(36).normal(size=(5, 2)), rng(37).normal(size=(5, 3))]
+        with pytest.raises(ShapeError) as err:
+            objective_graph(lifted, Tensor(np.ones(shape), requires_grad=True))
+        assert err.value.op == "objective_graph"
+
+
+def oracle_cases():
+    """(lifted, w): random instances, the smallest one and lifts of unequal width."""
+    cases = []
+    for seed in range(20):
+        g = rng(400 + seed)
+        n, m = int(g.integers(2, 20)), int(g.integers(2, 8))
+        x = g.uniform(0.1, 2.0, n)
+        cases.append(([g.normal(size=(n, int(g.integers(1, 6)))) for _ in range(m)], n * x / x.sum()))
+    g = rng(420)
+    cases.append(([g.normal(size=(2, 1)), g.normal(size=(2, 1))], np.array([0.5, 1.5])))
+    cases.append(([g.normal(size=(2, 5)), g.normal(size=(2, 3))], np.ones(2)))
+    cases.append(([g.normal(size=(7, 1)), g.normal(size=(7, 6)), g.normal(size=(7, 2))], simplex_weights(7, 421).w))
+    features = g.normal(size=(8, 16))
+    banks = make_banks(16, CimConfig())
+    cases.append(([rff_map(features[:, k], banks[k]) for k in range(16)], simplex_weights(8, 422).w))
+    return cases
+
+
+class TestAgainstComposite:
+    """The one-node objective against the composite it replaced, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("lifted,w", oracle_cases())
+    def test_value_and_gradient(self, lifted, w):
+        value, grad, nodes = value_grad_nodes(objective_graph, lifted, w)
+        want_value, want_grad, want_nodes = value_grad_nodes(composite_objective, lifted, w)
+        assert (nodes, want_nodes) == (1, 12)
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * np.max(np.abs(want_grad)))
+
+    def test_learned_weights(self, monkeypatch):
+        # Standardised (8, 16) features, as extract_feature_vars returns them.
+        cfg = CimConfig()
+        features = []
+        for seed in range(200):
+            x = rng(1000 + seed).normal(size=(8, 16))
+            features.append((x - x.mean(axis=0)) / x.std(axis=0))
+        got = [learn_weights(f, cfg).w for f in features]
+        monkeypatch.setattr(cim, "objective_graph", composite_objective)
+        for f, w in zip(features, got):
+            np.testing.assert_allclose(w, learn_weights(f, cfg).w, rtol=0, atol=1e-12)
 
 
 class TestLearnWeights:
@@ -370,6 +445,12 @@ class TestFeatureVars:
     def test_single_sample_rejected(self):
         with pytest.raises(DegenerateInputError):
             extract_feature_vars(np.ones((1, 4, 2, 2)), CimConfig(), seed=0)
+
+    @pytest.mark.parametrize("seed", [2.7, np.nan])
+    def test_seed_must_be_integer(self, seed):
+        # int() would turn 2.7 into 2; NaN would fail inside the seed mixer.
+        with pytest.raises(ConfigError):
+            extract_feature_vars(rng(38).normal(size=(3, 8, 2, 2)), CimConfig(), seed=seed)
 
 
 class TestCimLoss:

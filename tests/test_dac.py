@@ -5,7 +5,8 @@ from causalseg import tensor as T
 from causalseg.blocks import SimamConfig
 from causalseg.dac import concat_stage, dac_fuse, make_dac_layer
 from causalseg.errors import ShapeError
-from causalseg.tensor import Tensor, Tape, backward, grad_check
+from causalseg.tensor import Tensor, Tape, backward
+from gradcheck import grad_check
 
 
 def rng(seed=0):

@@ -20,7 +20,8 @@ from causalseg import blocks as B
 from causalseg import losses as L
 from causalseg import tensor as T
 from causalseg.errors import ShapeError
-from causalseg.tensor import Tape, Tensor, backward, grad_check
+from causalseg.tensor import Tape, Tensor, backward
+from gradcheck import grad_check
 
 
 def rng(seed):

@@ -14,7 +14,8 @@ from causalseg.losses import (
     miou,
     total_loss,
 )
-from causalseg.tensor import Tensor, grad_check
+from causalseg.tensor import Tensor
+from gradcheck import grad_check
 
 
 def prob_map(fg_probs):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from causalseg import blocks as B
 from causalseg import tensor as T
 from causalseg.errors import DomainError, ShapeError, TapeError
-from causalseg.tensor import Tensor, Tape, backward, grad_check
+from causalseg.tensor import Tensor, Tape, backward
+from gradcheck import grad_check
 
 
 def rng(seed):
