@@ -1,9 +1,7 @@
-"""Finite-difference check of tape gradients, shared by the tests.
+"""Finite-difference check of tape gradients, for the tests only.
 
-    from gradcheck import grad_check
-
-pytest puts this directory on ``sys.path`` (the tests are not a package), so
-every test module imports the helper by its bare name.
+The tests are not a package, so pytest puts this directory on ``sys.path``
+and they import it as ``from gradcheck import grad_check``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from causalseg import cim
 from causalseg import tensor as T
 from causalseg.cim import (
     CimConfig,
@@ -15,7 +16,6 @@ from causalseg.cim import (
     rff_map,
 )
 from causalseg.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError, SimplexError
-from causalseg import cim
 from causalseg.tensor import Tape, Tensor, backward
 from gradcheck import grad_check
 
@@ -314,6 +314,7 @@ class TestAgainstComposite:
             x = rng(1000 + seed).normal(size=(8, 16))
             features.append((x - x.mean(axis=0)) / x.std(axis=0))
         got = [learn_weights(f, cfg).w for f in features]
+        assert min(np.max(np.abs(w - 1.0)) for w in got) > 0.05
         monkeypatch.setattr(cim, "objective_graph", composite_objective)
         for f, w in zip(features, got):
             np.testing.assert_allclose(w, learn_weights(f, cfg).w, rtol=0, atol=1e-12)
