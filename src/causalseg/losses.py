@@ -4,6 +4,10 @@ Losses operate on a probability map tensor of shape (N, 2, H, W) whose
 channel axis is (background, nucleus) and a binary label array of shape
 (N, H, W); they return differentiable scalars. Metrics operate on binary
 numpy masks and return plain percentages.
+
+Each loss term is one tape node with an edge to the probabilities only. Its
+forward is numpy, and its backward repeats, in order, the arithmetic of the
+composite of tape ops it replaces, so gradients round as the composite's did.
 """
 
 from __future__ import annotations
@@ -45,51 +49,63 @@ def _check_pair(op: str, probs: Tensor, target: np.ndarray) -> np.ndarray:
         raise ShapeError(op, probs.shape, target.shape)
     if not np.all((target == 0) | (target == 1)):
         raise DomainError(f"{op}: labels must be binary")
+    if not np.all(np.isfinite(probs.data)):
+        raise NonFiniteError(f"{op}: probabilities are non-finite")
     return target.astype(np.float64)
 
 
-def _true_class_prob(probs: Tensor, fg: np.ndarray) -> Tensor:
-    """Per-pixel probability assigned to the correct class, clamped away from 0/1."""
-    one_hot = Tensor(np.stack([1.0 - fg, fg], axis=1))  # one product per pixel is exactly 0, so the sum is exact
-    return T.clip(T.reduce_sum(T.mul(probs, one_hot), (1,)), PROB_EPS, 1.0 - PROB_EPS)
+def _true_class_prob(probs: np.ndarray, fg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-hot true class, its probability clamped away from 0/1, and the mask of pixels inside the clamp."""
+    one_hot = np.stack([1.0 - fg, fg], axis=1)
+    p_true = (probs * one_hot).sum(axis=1)  # one product per pixel is exactly 0, so the sum is exact
+    inside = (p_true > PROB_EPS) & (p_true < 1.0 - PROB_EPS)
+    return one_hot, np.clip(p_true, PROB_EPS, 1.0 - PROB_EPS), inside
 
 
 def ce_per_sample(probs: Tensor, target: np.ndarray) -> Tensor:
     """Mean pixelwise cross-entropy of each sample; returns a length-N tensor."""
     fg = _check_pair("ce_per_sample", probs, target)
-    p_true = _true_class_prob(probs, fg)
-    return T.reduce_mean(T.mul(T.log(p_true), Tensor(-1.0)), (1, 2))
+    one_hot, p_true, inside = _true_class_prob(probs.data, fg)
+    pixels = fg[0].size
+    out = Tensor(-np.log(p_true).mean(axis=(1, 2)))
+    return T._record(out, (probs, lambda g: (-(g / pixels)[:, None, None] / p_true * inside)[:, None] * one_hot))
 
 
 def dice_loss(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
     """Smooth soft-dice on the nucleus channel, aggregated over the batch."""
     fg = _check_pair("dice_loss", probs, target)
-    n, _, h, w = probs.shape
-    p_fg = T.reshape(T.slice_axis(probs, 1, 1, 2), (n, h, w))
-    inter = T.total_sum(T.mul(p_fg, Tensor(fg)))
-    denom = T.total_sum(p_fg) + float(fg.sum())
-    s = cfg.dice_smooth
-    return 1.0 - (2.0 * inter + s) / (denom + s)
+    p_fg = probs.data[:, 1].copy()  # summed contiguous: a strided view sums in another order
+    num = 2.0 * (p_fg * fg).sum() + cfg.dice_smooth
+    den = p_fg.sum() + fg.sum() + cfg.dice_smooth
+
+    def back(g):
+        return np.stack([np.zeros_like(fg), g * num / (den * den) - g / den * 2.0 * fg], axis=1)
+
+    return T._record(Tensor(1.0 - num / den), (probs, back))
 
 
 def focal_loss(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
     """Class-balanced focal term, averaged over every pixel of every sample."""
     fg = _check_pair("focal_loss", probs, target)
-    p_true = _true_class_prob(probs, fg)
-    alpha = Tensor(np.where(fg == 1.0, cfg.alpha_t, 1.0 - cfg.alpha_t))
-    hard = T.power(1.0 - p_true, cfg.gamma)
-    per_pixel = T.mul(T.mul(alpha, hard), T.mul(T.log(p_true), Tensor(-1.0)))
-    return T.total_mean(per_pixel)
+    one_hot, p_true, inside = _true_class_prob(probs.data, fg)
+    alpha = np.where(fg == 1.0, cfg.alpha_t, 1.0 - cfg.alpha_t)
+    gamma, easy, nll = float(cfg.gamma), 1.0 - p_true, -np.log(p_true)
+    weight = alpha * easy ** gamma
+
+    def back(g):
+        share = g / fg.size
+        # the log's path, then the power's: the order of the composite's reverse sweep
+        grad = -(share * weight) / p_true - share * nll * alpha * gamma * easy ** (gamma - 1.0)
+        return (grad * inside)[:, None] * one_hot
+
+    return T._record(Tensor((weight * nll).mean()), (probs, back))
 
 
-def total_loss(l_cim, l_dice, l_fl, cfg: LossConfig) -> Tensor:
+def total_loss(l_cim: Tensor, l_dice: Tensor, l_fl: Tensor, cfg: LossConfig) -> Tensor:
     """Combined objective: reweighted CE plus lam*dice plus (1-lam)*focal."""
-    terms = {"l_cim": l_cim, "l_dice": l_dice, "l_fl": l_fl}
-    for name, t in terms.items():
-        val = t.item() if isinstance(t, Tensor) else float(t)
-        if not np.isfinite(val):
+    for name, t in (("l_cim", l_cim), ("l_dice", l_dice), ("l_fl", l_fl)):
+        if not np.isfinite(t.item()):
             raise NonFiniteError(f"total_loss: {name} is non-finite")
-    l_cim, l_dice, l_fl = (t if isinstance(t, Tensor) else Tensor(float(t)) for t in (l_cim, l_dice, l_fl))
     return l_cim + cfg.lam * l_dice + (1.0 - cfg.lam) * l_fl
 
 

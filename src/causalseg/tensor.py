@@ -276,14 +276,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, lambda g: _reduce_to(g / bd, sa)), (b, lambda g: _reduce_to(-g * ad / (bd * bd), sb)))
 
 
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    if not np.all(ad > 0.0):  # NaN fails this test too
-        raise DomainError("log: non-positive or NaN argument")
-    out = Tensor(np.log(ad))
-    return _record(out, (a, lambda g: g / ad))
-
-
 def power(a: Tensor, exponent: float) -> Tensor:
     """Elementwise a**p for a fixed scalar exponent."""
     p = float(exponent)
@@ -302,15 +294,6 @@ def power(a: Tensor, exponent: float) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     return _record(out, (a, lambda g: g * (out.data > 0.0)))  # the mask of a > 0, NaN included
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values into [lo, hi]; gradient is 1 inside the interval, 0 outside."""
-    if not lo < hi:
-        raise DomainError(f"clip: empty interval [{lo}, {hi}]")
-    out = Tensor(np.clip(a.data, lo, hi))
-    inside = (a.data > lo) & (a.data < hi)
-    return _record(out, (a, lambda g: g * inside))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""conv2d, affine_norm and simam against the frozen library copy in perfbench/reference.
+"""conv2d, affine_norm, simam and the loss terms against the frozen library copy in perfbench/reference.
 
 The copy is the library the benchmark's ``step_vs_ref`` divides by: its conv
 is an einsum over sliding windows with a strided scatter back, and its group
 and layer norms are chains of reduce, expand and elementwise ops. It is
 loaded read-only under another package name, so it never shadows
-``causalseg``. Every shape is one that the benchmark model's forward passes to
-the op at 64x64, batch 8. Forwards and every gradient must agree to 1e-12 of
-the largest value of each array; simam's, whose backward repeats the copy's
-arithmetic in order, must agree bit for bit.
+``causalseg``. Every shape is one that a benchmark workload passes to the op.
+Forwards and every gradient must agree to 1e-12 of the largest value of each
+array. Simam's and the loss terms', whose backwards repeat the copy's
+arithmetic in order, must agree bit for bit: as numbers, so a zero may differ
+in sign.
 """
 
 import importlib
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from causalseg import blocks as B
+from causalseg import losses as L
 from causalseg import tensor as T
 from causalseg.tensor import Tape, Tensor, backward
 
@@ -27,7 +29,8 @@ FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "caus
 
 @pytest.fixture(scope="module")
 def frozen():
-    """The frozen package as ``causalseg_frozen``; no bytecode is written next to it."""
+    """The frozen package as ``causalseg_frozen``, with its tensor, blocks and losses
+    modules; no bytecode is written next to it."""
     spec = importlib.util.spec_from_file_location("causalseg_frozen", FROZEN / "__init__.py",
                                                   submodule_search_locations=[str(FROZEN)])
     package = importlib.util.module_from_spec(spec)
@@ -35,7 +38,9 @@ def frozen():
     sys.modules["causalseg_frozen"] = package
     try:
         spec.loader.exec_module(package)
-        yield importlib.import_module("causalseg_frozen.tensor"), importlib.import_module("causalseg_frozen.blocks")
+        for name in ("tensor", "blocks", "losses"):
+            importlib.import_module(f"causalseg_frozen.{name}")
+        yield package
     finally:
         sys.dont_write_bytecode = saved
         for name in [m for m in sys.modules if m == "causalseg_frozen" or m.startswith("causalseg_frozen.")]:
@@ -61,6 +66,15 @@ NORMS = [
 ]
 # input shape of each simam call in the DAC layers of the three workloads
 SIMAMS = [(8, 16, 32, 32), (8, 32, 16, 16), (8, 16, 16, 16), (8, 32, 8, 8), (32, 16, 16, 16), (32, 32, 8, 8)]
+# (N, H, W) of the training batches: train_cim's and train_conv's
+LOSS_SHAPES = [(8, 32, 32), (8, 64, 64)]
+# each loss term, given the losses module of either library
+LOSS_TERMS = {
+    "ce": lambda lib, p, y: lib.ce_per_sample(p, y),
+    "dice": lambda lib, p, y: lib.dice_loss(p, y, lib.LossConfig()),
+    "focal-gamma2": lambda lib, p, y: lib.focal_loss(p, y, lib.LossConfig()),
+    "focal-gamma0": lambda lib, p, y: lib.focal_loss(p, y, lib.LossConfig(gamma=0.0)),
+}
 
 
 def output_and_grads(lib, fn, arrays, cotangent):
@@ -81,7 +95,7 @@ def assert_close(got, want):
 
 @pytest.mark.parametrize("x_shape,k_shape,stride,pad", CONVS)
 def test_conv2d_matches_frozen(frozen, x_shape, k_shape, stride, pad):
-    ref, _ = frozen
+    ref = frozen.tensor
     g = np.random.default_rng(51)
     x, kernel = g.normal(size=x_shape), g.normal(size=k_shape)
     ho = (x_shape[2] + 2 * pad - k_shape[2]) // stride + 1
@@ -97,7 +111,7 @@ def test_conv2d_matches_frozen(frozen, x_shape, k_shape, stride, pad):
 
 @pytest.mark.parametrize("x_shape,groups", NORMS)
 def test_affine_norm_matches_frozen(frozen, x_shape, groups):
-    ref, ref_blocks = frozen
+    ref, ref_blocks = frozen.tensor, frozen.blocks
     g = np.random.default_rng(52)
     c = x_shape[1]
     arrays = [g.normal(size=x_shape) * 3.0 + 1.0, g.normal(size=c), g.normal(size=c)]
@@ -112,7 +126,7 @@ def test_affine_norm_matches_frozen(frozen, x_shape, groups):
 
 @pytest.mark.parametrize("x_shape", SIMAMS)
 def test_simam_matches_frozen_exactly(frozen, x_shape):
-    ref, ref_blocks = frozen
+    ref, ref_blocks = frozen.tensor, frozen.blocks
     g = np.random.default_rng(53)
     x, cotangent = g.normal(size=x_shape) * 2.0, g.normal(size=x_shape)
     got = output_and_grads(T, lambda a: B.simam(a, B.SimamConfig()), [x], cotangent)
@@ -121,7 +135,24 @@ def test_simam_matches_frozen_exactly(frozen, x_shape):
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape", LOSS_SHAPES)
+@pytest.mark.parametrize("term", LOSS_TERMS)
+def test_losses_match_frozen_exactly(frozen, term, shape):
+    # Several draws: a sum that runs in another order rounds differently on only some of them.
+    g, fn = np.random.default_rng(54), LOSS_TERMS[term]
+    for _ in range(16):
+        fg = g.uniform(size=shape)
+        saturated = g.random(shape) < 0.1  # at exactly 0 or 1, outside the clamp
+        fg[saturated] = g.integers(0, 2, size=np.count_nonzero(saturated))
+        probs, target = np.stack([1.0 - fg, fg], axis=1), g.integers(0, 2, size=shape)
+        cotangent = g.normal(size=shape[:1] if term == "ce" else ())
+        got = output_and_grads(T, lambda p: fn(L, p, target), [probs], cotangent)
+        want = output_and_grads(frozen.tensor, lambda p: fn(frozen.losses, p, target), [probs], cotangent)
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_frozen_copy_is_not_the_library(frozen):
-    ref, _ = frozen
+    ref = frozen.tensor
     assert Path(ref.__file__).resolve().parent == FROZEN.resolve()
     assert ref.Tensor is not Tensor and ref.Tape is not Tape and ref.backward is not backward

@@ -6,6 +6,7 @@ import pytest
 from causalseg import tensor as T
 from causalseg.errors import ConfigError, DomainError, NonFiniteError, ShapeError
 from causalseg.losses import (
+    PROB_EPS,
     LossConfig,
     ce_per_sample,
     dice_loss,
@@ -14,7 +15,7 @@ from causalseg.losses import (
     miou,
     total_loss,
 )
-from causalseg.tensor import Tensor
+from causalseg.tensor import Tape, Tensor, backward
 from gradcheck import grad_check
 
 
@@ -143,8 +144,8 @@ class TestTotalLoss:
 
     def test_linearity(self):
         cfg = LossConfig()
-        base = total_loss(1.0, 2.0, 3.0, cfg).item()
-        bumped = total_loss(1.0, 2.0 + 2.0, 3.0, cfg).item()
+        base = total_loss(Tensor(1.0), Tensor(2.0), Tensor(3.0), cfg).item()
+        bumped = total_loss(Tensor(1.0), Tensor(2.0 + 2.0), Tensor(3.0), cfg).item()
         assert bumped - base == pytest.approx(cfg.lam * 2.0, abs=1e-12)
 
     def test_nonfinite_rejected(self):
@@ -212,16 +213,63 @@ class TestLossGradients:
         target = np.random.default_rng(seed).integers(0, 2, size=(2, 3, 3))
         probs_arr = random_probs(seed + 10, n=2, h=3, w=3, lo=0.25, hi=0.75)
         cfg = LossConfig()
-
-        def as_probs(t):
-            return t
-
         for fn in (
             lambda t: T.total_sum(ce_per_sample(t, target)),
             lambda t: dice_loss(t, target, cfg),
             lambda t: focal_loss(t, target, cfg),
         ):
-            assert grad_check(fn, Tensor(probs_arr), eps=1e-5) < 1e-4
+            assert grad_check(fn, Tensor(probs_arr), eps=1e-5) < 1e-8
+
+
+# Each loss term by the name its errors carry.
+TERMS = {
+    "ce_per_sample": ce_per_sample,
+    "dice_loss": lambda probs, target: dice_loss(probs, target, LossConfig()),
+    "focal_loss": lambda probs, target: focal_loss(probs, target, LossConfig()),
+}
+
+
+class TestOneNode:
+    @pytest.mark.parametrize("name", TERMS)
+    def test_one_node_with_a_gradient_none_without(self, name):
+        target = np.random.default_rng(30).integers(0, 2, size=(2, 4, 4))
+        for requires_grad, nodes in ((True, 1), (False, 0)):
+            probs = Tensor(random_probs(31), requires_grad=requires_grad)
+            with Tape() as tape:
+                out = TERMS[name](probs, target)
+            assert len(tape) == nodes
+            assert out.requires_grad is requires_grad
+
+    @pytest.mark.parametrize("name", ["ce_per_sample", "focal_loss"])
+    def test_zero_gradient_outside_the_clamp(self, name):
+        # True-class probabilities at and beyond each end of [PROB_EPS, 1 - PROB_EPS], and two inside:
+        # on channel 1 in the nucleus row, on channel 0 in the background row.
+        p_true = np.array([0.0, PROB_EPS / 2, PROB_EPS, 0.3, 0.7, 1.0 - PROB_EPS, 1.0])
+        inside = np.array([False, False, False, True, True, False, False])
+        target = np.array([[np.ones(7), np.zeros(7)]], dtype=int)
+        arr = np.full((1, 2, 2, 7), 0.5)
+        arr[0, 1, 0], arr[0, 0, 1] = p_true, p_true
+        probs = Tensor(arr, requires_grad=True)
+        with Tape() as tape:
+            loss = T.total_sum(TERMS[name](probs, target))
+        grad = backward(loss, tape)[probs]
+        assert np.all(grad[0, 0, 0] == 0.0) and np.all(grad[0, 1, 1] == 0.0)  # the other class's channel
+        true_grad = np.stack([grad[0, 1, 0], grad[0, 0, 1]])
+        assert np.all(true_grad[:, ~inside] == 0.0)
+        assert np.all(true_grad[:, inside] < 0.0)
+
+
+class TestNonFiniteProbabilities:
+    @pytest.mark.parametrize("channel", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", TERMS)
+    def test_rejected_by_name(self, name, bad, channel):
+        probs = random_probs(32)
+        probs[1, channel, 2, 3] = bad
+        target = np.random.default_rng(33).integers(0, 2, size=(2, 4, 4))
+        with pytest.raises(NonFiniteError) as exc:
+            TERMS[name](Tensor(probs), target)
+        assert name in str(exc.value)
 
 
 def test_loss_config_validation():
@@ -231,7 +279,7 @@ def test_loss_config_validation():
         LossConfig(lam=1.2)
     with pytest.raises(ConfigError):
         LossConfig(dice_smooth=0.0)
-    # Non-finite values would reach focal_loss's T.power or make dice_loss NaN.
+    # Non-finite values would make the focal or dice value or gradient NaN.
     for bad in ({"gamma": np.nan}, {"gamma": np.inf}, {"dice_smooth": np.nan}, {"dice_smooth": np.inf}):
         with pytest.raises(ConfigError):
             LossConfig(**bad)
