@@ -12,11 +12,14 @@ norm of those blocks over pairs i < j, that is 1/2 ||S - blockdiag(S)||_F^2,
 recorded on the tape as one node by ``objective_graph``. The weight learner
 searches the scaled simplex {w >= 0, sum(w) = n} for weights that minimize
 it, by gradient descent on a softmax parameterization (always feasible, no
-projection step) with steps relative to the objective at uniform weights.
+projection step) with steps relative to the objective at uniform weights. It
+records no tape nodes: one numpy loop runs the softmax and objective ops' own
+forward and backward helpers, on lifts built once through banks cached by key.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +33,7 @@ from .errors import (
     SimplexError,
 )
 from .seeding import mix64
-from .tensor import Tensor, Tape, backward
+from .tensor import Tensor
 
 SIMPLEX_TOL = 1e-9
 STEP = 0.05  # theta step per unit of gradient relative to the uniform objective
@@ -110,6 +113,17 @@ def make_banks(m: int, cfg: CimConfig) -> list[RFFBank]:
     return [RFFBank(cfg.n_f, seed=mix64(cfg.seed, 1000 + k)) for k in range(m)]
 
 
+@functools.lru_cache(maxsize=8)  # keyed on values: callers may build a fresh config per step
+def _bank_arrays(m: int, n_f: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (m, n_f) omega and phi of ``make_banks``, and the 0/1 off-block mask of their lifts."""
+    banks = make_banks(m, CimConfig(n_f=n_f, seed=seed))
+    arrays = (np.stack([b.omega for b in banks]), np.stack([b.phi for b in banks]),
+              1.0 - np.kron(np.eye(m), np.ones((n_f, n_f))))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def extract_feature_vars(f5, cfg: CimConfig, seed: int) -> np.ndarray:
     """Pool each channel of the deepest feature map into one scalar per sample.
 
@@ -124,6 +138,8 @@ def extract_feature_vars(f5, cfg: CimConfig, seed: int) -> np.ndarray:
     n, c = data.shape[0], data.shape[1]
     if n < 2:
         raise DegenerateInputError("extract_feature_vars: need at least 2 samples")
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteError("extract_feature_vars: non-finite feature")
     pooled = data.mean(axis=(2, 3))  # (n, c)
     m = min(cfg.m_features, c)
     chosen = np.sort(np.random.default_rng(mix64(seed, 2000)).choice(c, size=m, replace=False))
@@ -135,10 +151,14 @@ def extract_feature_vars(f5, cfg: CimConfig, seed: int) -> np.ndarray:
 
 def rff_map(column: np.ndarray, bank: RFFBank) -> np.ndarray:
     """Lift a length-n column to an (n, n_f) matrix of bounded cosine features."""
-    x = np.asarray(column, dtype=np.float64).reshape(-1)
+    return _lift(np.asarray(column, dtype=np.float64).reshape(-1, 1), bank.omega[None], bank.phi[None], "rff_map")
+
+
+def _lift(x: np.ndarray, omega: np.ndarray, phi: np.ndarray, op: str) -> np.ndarray:
+    """Column k of an (n, m) matrix through bank (omega[k], phi[k]), the m lifts side by side: (n, m * n_f)."""
     if not np.all(np.isfinite(x)):
-        raise NonFiniteError("rff_map: non-finite input")
-    return np.sqrt(2.0) * np.cos(x[:, None] * bank.omega[None, :] + bank.phi[None, :])
+        raise NonFiniteError(f"{op}: non-finite input")
+    return (np.sqrt(2.0) * np.cos(x[:, :, None] * omega + phi)).reshape(x.shape[0], -1)
 
 
 def independence_objective(features: np.ndarray, banks: list[RFFBank],
@@ -187,14 +207,18 @@ def objective_graph(lifted: list[np.ndarray], w: Tensor) -> Tensor:
         raise ShapeError("objective_graph", w.shape, (n,), detail="one weight per row required")
     z = np.hstack(lifted)
     owner = np.repeat(np.arange(m), [u.shape[1] for u in lifted])
-    wz = z * w.data[:, None]
-    c = wz - wz.mean(axis=0)
-    s = (c.T @ c) / (n - 1) * (owner[:, None] != owner[None, :])
+    value, grad_w = _objective(z, w.data, owner[:, None] != owner[None, :])
+    return T._record(Tensor(value), (w, grad_w))
 
-    def grad_w(g):
-        return g * np.sum(c @ s * z, axis=1) * (2.0 / (n - 1))
 
-    return T._record(Tensor(np.sum(s * s) * 0.5), (w, grad_w))
+def _objective(z: np.ndarray, w: np.ndarray, off: np.ndarray):
+    """The objective of lifts z under weights w, S masked by ``off``, and the map from its gradient to w's."""
+    n = z.shape[0]
+    c = z * w[:, None]
+    c -= c.sum(axis=0) / n
+    s = c.T @ c
+    np.multiply(np.divide(s, n - 1, out=s), off, out=s)
+    return float((s * s).sum() * 0.5), lambda g: g * (c @ s * z).sum(axis=1) * (2.0 / (n - 1))
 
 
 def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:
@@ -203,6 +227,7 @@ def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:
     Descends on theta, w = n * softmax(theta), from the uniform point for
     ``inner_steps`` steps of ``STEP`` * gradient / uniform objective (none if
     that objective is 0); returns the best iterate, never worse than uniform.
+    Records no tape nodes; the banks are cached by (m, cfg.n_f, cfg.seed).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -210,27 +235,23 @@ def learn_weights(features: np.ndarray, cfg: CimConfig) -> SampleWeights:
     n, m = features.shape
     if n < 2 or m < 2:
         raise DegenerateInputError("learn_weights: need n >= 2 samples and m >= 2 features")
-    banks = make_banks(m, cfg)
-    lifted = [rff_map(features[:, k], banks[k]) for k in range(m)]
+    omega, phi, off = _bank_arrays(m, cfg.n_f, cfg.seed)
+    z = _lift(features, omega, phi, "learn_weights")
 
-    theta = Tensor(np.zeros(n), requires_grad=True)
-    best_w = np.ones(n)  # the start as exact ones: n * softmax(0) may round off 1
+    theta, best_w = np.zeros(n), np.ones(n)  # the start as exact ones: n * softmax(0) may round off 1
     for step in range(cfg.inner_steps + 1):
-        with Tape() as tape:
-            w = T.softmax(theta, axis=0) * float(n)
-            obj = objective_graph(lifted, w)
-        value = obj.item()
+        softmax, grad_theta = T._softmax(theta, 0)
+        w = softmax * float(n)
+        value, grad_w = _objective(z, w, off)
         if not np.isfinite(value):
             raise NonFiniteError("learn_weights: objective diverged", index=step)
         if step == 0:
             uniform = best_obj = value
         elif value < best_obj:
-            best_obj, best_w = value, w.data
+            best_obj, best_w = value, w
         if step == cfg.inner_steps or uniform == 0.0:  # 0: nothing to decorrelate
             break
-        backward(obj, tape)
-        theta.data = theta.data - STEP / uniform * theta.grad
-        theta.zero_grad()
+        theta = theta - STEP / uniform * grad_theta(grad_w(1.0) * float(n))
     return SampleWeights(best_w, n)
 
 

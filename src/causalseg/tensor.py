@@ -437,16 +437,17 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
-    """Numerically stable softmax along one axis, recorded as one node.
-
-    The backward repeats, in order, the arithmetic of the composite
-    exp(x - max) / sum, so gradients round as the composite's did.
-    """
+    """Numerically stable softmax along one axis, recorded as one node."""
     (axis,) = _normalize_axes("softmax", (axis,), x.shape)
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    out, grad_x = _softmax(x.data, axis)
+    return _record(Tensor(out), (x, grad_x))
+
+
+def _softmax(x: np.ndarray, axis: int) -> tuple[np.ndarray, Callable]:
+    """x's softmax and the map from its gradient to x's, which rounds as the composite exp(x - max) / sum did."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
     total = e.sum(axis=axis, keepdims=True)
-    out = Tensor(e / total)
-    return _record(out, (x, lambda g: (g / total + np.sum(-g * e / (total * total), axis=axis, keepdims=True)) * e))
+    return e / total, lambda g: (g / total + (-g * e / (total * total)).sum(axis=axis, keepdims=True)) * e
 
 
 def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = "affine_norm") -> Tensor:

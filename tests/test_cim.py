@@ -64,6 +64,53 @@ def composite_objective(lifted, w):
     return T.total_sum(T.mul(s, s)) * 0.5
 
 
+def taped_learn_weights(features, cfg, objective=objective_graph):
+    """Slow oracle for learn_weights: the loop it replaced. Each evaluation
+    records softmax, ``* n`` and ``objective`` on a tape of its own, and
+    ``backward`` gives theta's gradient; the banks are built and the columns
+    lifted one at a time on every call."""
+    features = np.asarray(features, dtype=np.float64)
+    n, m = features.shape
+    banks = make_banks(m, cfg)
+    lifted = [rff_map(features[:, k], banks[k]) for k in range(m)]
+    theta = Tensor(np.zeros(n), requires_grad=True)
+    best_w = np.ones(n)
+    for step in range(cfg.inner_steps + 1):
+        with Tape() as tape:
+            w = T.softmax(theta, axis=0) * float(n)
+            obj = objective(lifted, w)
+        value = obj.item()
+        assert np.isfinite(value)
+        if step == 0:
+            uniform = best_obj = value
+        elif value < best_obj:
+            best_obj, best_w = value, w.data
+        if step == cfg.inner_steps or uniform == 0.0:
+            break
+        backward(obj, tape)
+        theta.data = theta.data - cim.STEP / uniform * theta.grad
+        theta.zero_grad()
+    return best_w
+
+
+def standardised(x):
+    return (x - x.mean(axis=0)) / x.std(axis=0)
+
+
+OTHER_CFG = CimConfig(n_f=3, inner_steps=7, seed=5)
+
+
+def learner_cases():
+    """Features for the learner: 200 standardised (8, 16) draws, as
+    extract_feature_vars returns them, then n in {2, 3, 64, 256} rows by
+    m in {2, 7, 16} columns, two draws each."""
+    cases = [standardised(rng(1000 + seed).normal(size=(8, 16))) for seed in range(200)]
+    for n in (2, 3, 64, 256):
+        for m in (2, 7, 16):
+            cases += [standardised(rng(2000 + 31 * n + m + k).normal(size=(n, m))) for k in range(2)]
+    return cases
+
+
 def value_grad_nodes(objective, lifted, w):
     leaf = Tensor(np.array(w, dtype=np.float64), requires_grad=True)
     with Tape() as tape:
@@ -306,18 +353,88 @@ class TestAgainstComposite:
         assert value == pytest.approx(want_value, rel=1e-12, abs=0)
         np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * np.max(np.abs(want_grad)))
 
-    def test_learned_weights(self, monkeypatch):
-        # Standardised (8, 16) features, as extract_feature_vars returns them.
-        cfg = CimConfig()
-        features = []
-        for seed in range(200):
-            x = rng(1000 + seed).normal(size=(8, 16))
-            features.append((x - x.mean(axis=0)) / x.std(axis=0))
-        got = [learn_weights(f, cfg).w for f in features]
-        assert min(np.max(np.abs(w - 1.0)) for w in got) > 0.05
-        monkeypatch.setattr(cim, "objective_graph", composite_objective)
-        for f, w in zip(features, got):
-            np.testing.assert_allclose(w, learn_weights(f, cfg).w, rtol=0, atol=1e-12)
+    def test_learned_weights(self):
+        # The tape-free learner against the taped loop driven by the composite:
+        # the weights to 1e-12 on the 200 (8, 16) draws, and the objective at
+        # the two weight vectors to 1e-12 relative on every case. Once the
+        # descent has converged, iterates whose objectives differ by rounding
+        # can swap places as the best one (n = 2, m = 2: 3.5e-9 apart in w).
+        features = learner_cases()
+        for cfg in (CimConfig(), OTHER_CFG):
+            got = [learn_weights(f, cfg).w for f in features]
+            assert min(np.max(np.abs(w - 1.0)) for w in got[:200]) > (0.05 if cfg == CimConfig() else 0.02)
+            for k, (f, w) in enumerate(zip(features, got)):
+                want = taped_learn_weights(f, cfg, composite_objective)
+                if k < 200:
+                    np.testing.assert_allclose(w, want, rtol=0, atol=1e-12)
+                banks, n = make_banks(f.shape[1], cfg), f.shape[0]
+                assert independence_objective(f, banks, SampleWeights(w, n)) == pytest.approx(
+                    independence_objective(f, banks, SampleWeights(want, n)), rel=1e-12, abs=0)
+
+
+class TestTapeFreeLearner:
+    """learn_weights against the taped loop it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("cfg", [CimConfig(), OTHER_CFG], ids=["default", "n_f3-steps7-seed5"])
+    def test_bytes_equal_taped_loop(self, cfg):
+        for f in learner_cases():
+            assert learn_weights(f, cfg).w.tobytes() == taped_learn_weights(f, cfg).tobytes()
+
+    def test_records_no_nodes(self):
+        features = learner_cases()[0]
+        with Tape() as tape:
+            w = learn_weights(features, CimConfig())
+        assert len(tape) == 0
+        assert np.max(np.abs(w.w - 1.0)) > 0.05
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        # Warnings are errors under the test configuration, so a cos of an
+        # infinity would raise RuntimeWarning instead of NonFiniteError.
+        features = learner_cases()[1].copy()
+        features[3, 5] = bad
+        with pytest.raises(NonFiniteError, match="learn_weights"):
+            learn_weights(features, CimConfig())
+
+    def test_divergence_names_the_step(self, monkeypatch):
+        objective, calls = cim._objective, []
+
+        def nan_at_step_3(z, w, off):
+            calls.append(None)
+            value, grad_w = objective(z, w, off)
+            return (np.nan if len(calls) == 4 else value), grad_w
+
+        monkeypatch.setattr(cim, "_objective", nan_at_step_3)
+        with pytest.raises(NonFiniteError, match="diverged") as err:
+            learn_weights(learner_cases()[2], CimConfig())
+        assert err.value.index == 3
+
+    @pytest.mark.parametrize("m,n_f,seed", [(2, 1, 0), (16, 5, 0), (7, 3, 5), (16, 5, 2**40)])
+    def test_bank_cache(self, m, n_f, seed):
+        omega, phi, off = cim._bank_arrays(m, n_f, seed)
+        banks = make_banks(m, CimConfig(n_f=n_f, seed=seed))
+        assert omega.tobytes() == np.stack([b.omega for b in banks]).tobytes()
+        assert phi.tobytes() == np.stack([b.phi for b in banks]).tobytes()
+        owner = np.repeat(np.arange(m), n_f)
+        np.testing.assert_array_equal(off, owner[:, None] != owner[None, :])
+        for a in (omega, phi, off):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        # keyed on values: the learner hits the cache with a fresh config
+        hits = cim._bank_arrays.cache_info().hits
+        learn_weights(rng(41).normal(size=(4, m)), CimConfig(n_f=n_f, seed=seed))
+        assert cim._bank_arrays.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("n,m,n_f", [(1, 1, 1), (2, 16, 5), (8, 16, 5), (3, 7, 3), (64, 16, 5), (256, 16, 5)])
+    def test_stacked_lift_equals_rff_map(self, n, m, n_f):
+        features = rng(40 + n + m).normal(scale=30.0, size=(n, m))
+        omega, phi, _ = cim._bank_arrays(m, n_f, 3)
+        z = cim._lift(features, omega, phi, "test")
+        banks = make_banks(m, CimConfig(n_f=n_f, seed=3))
+        assert z.shape == (n, m * n_f)
+        for k in range(m):
+            assert z[:, k * n_f:(k + 1) * n_f].tobytes() == rff_map(features[:, k], banks[k]).tobytes()
 
 
 class TestLearnWeights:
@@ -446,6 +563,16 @@ class TestFeatureVars:
     def test_single_sample_rejected(self):
         with pytest.raises(DegenerateInputError):
             extract_feature_vars(np.ones((1, 4, 2, 2)), CimConfig(), seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("wrap", [np.asarray, Tensor], ids=["array", "tensor"])
+    def test_non_finite_features_rejected(self, bad, wrap):
+        # One pixel of one channel: raised before pooling, whichever channels
+        # are chosen, and before an inf - inf could warn.
+        f5 = rng(39).normal(size=(4, 8, 2, 2))
+        f5[2, 6, 1, 0] = bad
+        with pytest.raises(NonFiniteError, match="extract_feature_vars"):
+            extract_feature_vars(wrap(f5), CimConfig(m_features=3), seed=0)
 
     @pytest.mark.parametrize("seed", [2.7, np.nan])
     def test_seed_must_be_integer(self, seed):
