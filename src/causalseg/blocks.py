@@ -301,8 +301,9 @@ def decoder_block(x: Tensor, skip: Tensor, params: BlockParams) -> Tensor:
     """Upsample x2, concatenate the skip, then 3x3 conv + group norm + ReLU.
 
     The conv over the concatenation is the sum of a conv over each part, so
-    the x part runs as one sub-pixel ``upsample_conv2d`` and neither the
-    upsampled nor the concatenated tensor is built.
+    the x part runs as one sub-pixel ``upsample_conv2d`` node, four 2x2
+    parity kernels on x at low resolution, and neither the upsampled nor the
+    concatenated tensor is built.
     """
     kernel = params["kernel"]
     if x.data.ndim != 4 or skip.data.ndim != 4:

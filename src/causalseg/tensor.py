@@ -27,6 +27,9 @@ Design notes:
     share into zeroed planes and crops them to x; the kernel gradient rebuilds
     the planes from x, which is all the tape keeps. A kernel is dense,
     (O, C, K, K), or depthwise, (C, 1, K, K).
+  * The decoder's 3x3 conv of a nearest 2x upsample is one node: four 2x2
+    parity kernels run as one conv on the low-res input, and backward runs
+    that conv's own gradient maps (see ``upsample_conv2d``).
 """
 
 from __future__ import annotations
@@ -543,30 +546,34 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     output channel i filters input channel i alone. Each kernel tap reads a
     view of the zero-padded input's phase planes (see the design notes).
     """
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError("conv2d", x.shape, kernel.shape, detail="NCHW input and OCKK kernel required")
-    n, c, h, w = x.shape
-    o, ck, kh, kw = kernel.shape
-    if kh != kw:
-        raise ShapeError("conv2d", kernel.shape, detail="square kernels only")
-    if ck != c and (o, ck) != (c, 1):
-        raise ShapeError("conv2d", x.shape, kernel.shape,
-                         detail=f"kernel expects {ck} channels, input has {c}, and is not depthwise ({c}, 1, K, K)")
-    if not is_int(stride, padding) or stride < 1 or padding < 0:
-        raise ShapeError("conv2d", x.shape, detail=f"stride {stride!r} / padding {padding!r} invalid")
-    ho = _conv_out_extent(h, kh, stride, padding)
-    wo = _conv_out_extent(w, kw, stride, padding)
-    if ho < 1 or wo < 1:
-        raise ShapeError("conv2d", x.shape, kernel.shape, detail=f"output extent {ho}x{wo} non-positive")
+    y, grad_x, grad_kernel = _conv2d(x.data, kernel.data, stride, padding)
+    return _record(Tensor(np.ascontiguousarray(y)), (x, grad_x), (kernel, grad_kernel))
 
-    xd, xshape, kshape, s = x.data, x.shape, kernel.shape, stride
+
+def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.ndarray, Callable, Callable]:
+    """``conv2d`` on arrays, with its checks: the output, which may be a view of
+    a wider grid, and the maps from the output's gradient to x's and the kernel's."""
+    if xd.ndim != 4 or kd.ndim != 4:
+        raise ShapeError("conv2d", xd.shape, kd.shape, detail="NCHW input and OCKK kernel required")
+    xshape, kshape = xd.shape, kd.shape
+    (n, c, h, w), (o, ck, kh, kw) = xshape, kshape
+    if kh != kw:
+        raise ShapeError("conv2d", kshape, detail="square kernels only")
+    if ck != c and (o, ck) != (c, 1):
+        raise ShapeError("conv2d", xshape, kshape,
+                         detail=f"kernel expects {ck} channels, input has {c}, and is not depthwise ({c}, 1, K, K)")
+    if not is_int(s, padding) or s < 1 or padding < 0:
+        raise ShapeError("conv2d", xshape, detail=f"stride {s!r} / padding {padding!r} invalid")
+    ho, wo = _conv_out_extent(h, kh, s, padding), _conv_out_extent(w, kw, s, padding)
+    if ho < 1 or wo < 1:
+        raise ShapeError("conv2d", xshape, kshape, detail=f"output extent {ho}x{wo} non-positive")
     e = (kh - 1) // s  # how far a tap's offset reaches into a phase plane, in rows and columns
     rows, wq = ho + e, wo + e
     m = ho * wq  # a tap's view: Ho rows of Wq entries, whose columns past Wo are cropped
     direct = kh == 1 and s == 1 and padding == 0  # x is its own single plane
     depthwise = ck == 1 and o == c
     taps = [(ki % s, kj % s, (ki // s) * wq + kj // s) for ki in range(kh) for kj in range(kw)]
-    wt = np.ascontiguousarray(kernel.data.reshape(o, ck, kh * kw).transpose(2, 0, 1))  # per tap (O, C) or (C, 1)
+    wt = np.ascontiguousarray(kd.reshape(o, ck, kh * kw).transpose(2, 0, 1))  # per tap (O, C) or (C, 1)
 
     def planes():  # built again by the kernel gradient, so the tape holds only x
         return xd.reshape(n, c, 1, 1, m) if direct else _planes(xd, s, padding, rows, wq, e)
@@ -584,7 +591,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         for t in range(len(taps)):
             cols[:, :, t] = view(p, t).reshape(n, c, ho, wq)[..., :wo]
         groups = c // ck
-        y = kernel.data.reshape(groups, o // groups, ck * kh * kw) @ cols.reshape(n, groups, ck * kh * kw, ho * wo)
+        y = kd.reshape(groups, o // groups, ck * kh * kw) @ cols.reshape(n, groups, ck * kh * kw, ho * wo)
         y = y.reshape(n, o, ho, wo)
     else:  # one (O, C) GEMM per tap, added into the output
         y, scratch = wt[0] @ view(p, 0), None
@@ -592,8 +599,6 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             scratch = np.matmul(wt[t], view(p, t), out=scratch)
             y += scratch
         y = y.reshape(n, o, ho, wq)[..., :wo]
-    del p  # free the planes before the crop copy
-    out = Tensor(np.ascontiguousarray(y))
 
     def grid(g):  # the output gradient on the Ho x Wq grid, zero past Wo
         if wq == wo:
@@ -621,7 +626,7 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             per_tap = [(gg @ view(p, t).transpose(0, 2, 1)).sum(axis=0) for t in range(len(taps))]
         return np.stack(per_tap, axis=-1).reshape(kshape)
 
-    return _record(out, (x, grad_x), (kernel, grad_kernel))
+    return y, grad_x, grad_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -629,14 +634,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
 
 
 def _parity_fold() -> np.ndarray:
-    """(9, 36) map from a 3x3 kernel to four parity kernels over low-res 3x3 windows.
+    """(9, 16) map from a 3x3 kernel to four parity kernels over low-res 2x2 windows.
 
     Output row 2i+a of a 3x3 pad-1 conv on the nearest 2x upsample reads
-    low-res rows (i-1, i, i) for a = 0 and (i, i, i+1) for a = 1; columns
-    fold the same way. Kernel taps that land on the same low-res tap add up.
+    low-res rows (i-1, i, i) for a = 0 and (i, i, i+1) for a = 1: a 2x2
+    window from row i-1+a. Columns fold the same way. Kernel taps that land
+    on the same window tap add up.
     """
-    one_axis = np.eye(3)[[[0, 1, 1], [1, 1, 2]]]  # (parity, kernel tap, low-res tap)
-    fold = np.einsum("aik,bjl->ijabkl", one_axis, one_axis).reshape(9, 36)
+    one_axis = np.eye(2)[[[0, 1, 1], [0, 0, 1]]]  # (parity, kernel tap, window tap)
+    fold = np.einsum("aiu,bjv->ijabuv", one_axis, one_axis).reshape(9, 16)
     fold.flags.writeable = False  # a shared constant, never a buffer
     return fold
 
@@ -645,12 +651,13 @@ _PARITY_FOLD = _parity_fold()
 
 
 def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
-    """3x3 stride-1 pad-1 conv of the nearest 2x upsample of NCHW ``x``.
+    """3x3 stride-1 pad-1 conv of the nearest 2x upsample of NCHW ``x``, as one node.
 
     A sub-pixel convolution (Shi et al., arXiv 1609.05158): the kernel folds
-    into four parity kernels, one 3x3 ``conv2d`` runs them on ``x`` at low
-    resolution, and a pixel shuffle interleaves the four outputs into
-    (N, O, 2H, 2W). The upsampled tensor is never built.
+    into four parity kernels over 2x2 low-res windows, one 2x2 pad-1 conv
+    runs them on ``x`` into (H + 1) x (W + 1) grids, and a pixel shuffle
+    writes each parity's H x W crop into (N, O, 2H, 2W). Backward runs the
+    conv's own gradient maps. The upsampled tensor is never built.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail="NCHW input and OCKK kernel required")
@@ -660,8 +667,22 @@ def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError("upsample_conv2d", kernel.shape, detail="3x3 kernel required")
     if ck != c:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail=f"kernel expects {ck} channels, input has {c}")
-    # (O*C, 9) @ (9, 36) -> (O, C, a, b, 3, 3) -> parity kernels (a, b, O) x (C, 3, 3)
-    folded = reshape(matmul(reshape(kernel, (o * c, 9)), Tensor(_PARITY_FOLD)), (o, c, 4, 9))
-    folded = reshape(transpose(folded, (2, 0, 1, 3)), (4 * o, c, 3, 3))
-    y = reshape(conv2d(x, folded, 1, 1), (n, 2, 2, o, h, w))
-    return reshape(transpose(y, (0, 3, 4, 1, 5, 2)), (n, o, 2 * h, 2 * w))
+    # (O*C, 9) @ (9, 16) -> (O, C, a, b, 2, 2) -> parity kernels (a, b, O) x (C, 2, 2)
+    folded = (kernel.data.reshape(o * c, 9) @ _PARITY_FOLD).reshape(o, c, 4, 4)
+    y, conv_grad_x, conv_grad_kernel = _conv2d(x.data, folded.transpose(2, 0, 1, 3).reshape(4 * o, c, 2, 2), 1, 1)
+    grids, out = y.reshape(n, 2, 2, o, h + 1, w + 1), np.empty((n, o, h, 2, w, 2))
+    for a, b in np.ndindex(2, 2):  # parity (a, b) is the crop of its grid from row a, column b
+        out[:, :, :, a, :, b] = grids[:, a, b, :, a:a + h, b:b + w]
+
+    def unshuffle(g):  # the output gradient on the conv's grids, zero outside each parity's crop
+        g, gg = g.reshape(n, o, h, 2, w, 2), np.zeros((n, 2, 2, o, h + 1, w + 1))
+        for a, b in np.ndindex(2, 2):
+            gg[:, a, b, :, a:a + h, b:b + w] = g[:, :, :, a, :, b]
+        return gg.reshape(n, 4 * o, h + 1, w + 1)
+
+    def grad_kernel(g):
+        gk = conv_grad_kernel(unshuffle(g)).reshape(4, o, c, 4).transpose(1, 2, 0, 3)
+        return (gk.reshape(o * c, 16) @ _PARITY_FOLD.T).reshape(o, c, 3, 3)
+
+    out = Tensor(out.reshape(n, o, 2 * h, 2 * w))
+    return _record(out, (x, lambda g: conv_grad_x(unshuffle(g))), (kernel, grad_kernel))

@@ -325,7 +325,7 @@ class TestDecoder:
         assert set(p.tensors()) == {"kernel", "scale", "shift"}
         with T.Tape() as tape:
             B.decoder_block(Tensor(rng(39).normal(size=(2, 4, 4, 4))), Tensor(rng(40).normal(size=(2, 4, 8, 8))), p)
-        assert len(tape) == 15
+        assert len(tape) == 7
 
     def test_spatial_mismatch_rejected(self):
         p = B.make_decoder_params(rng(34), 4, 4, 4)

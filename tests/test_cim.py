@@ -16,6 +16,7 @@ from causalseg.cim import (
     rff_map,
 )
 from causalseg.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError, SimplexError
+from causalseg.seeding import mix64
 from causalseg.tensor import Tape, Tensor, backward
 from gradcheck import grad_check
 
@@ -559,6 +560,21 @@ class TestFeatureVars:
         out = extract_feature_vars(f5, CimConfig(m_features=16), seed=0)
         np.testing.assert_array_equal(out[:, 2], 0.0)
         np.testing.assert_allclose(out[:, [0, 1, 3]].std(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed,c,m", [(0, 16, 16), (5, 8, 2), (3, 32, 16), (2**40, 7, 1)])
+    def test_channel_cache(self, seed, c, m):
+        chosen = cim._channels(seed, c, m)
+        fresh = np.sort(np.random.default_rng(mix64(seed, 2000)).choice(c, size=m, replace=False))
+        assert chosen.tobytes() == fresh.tobytes() and chosen.dtype == fresh.dtype
+        assert not chosen.flags.writeable
+        with pytest.raises(ValueError):
+            chosen[0] = 0
+        # keyed on values: each call with a fresh config hits the cache
+        f5 = rng(36).normal(size=(3, c, 2, 2))
+        hits = cim._channels.cache_info().hits
+        for _ in range(2):
+            extract_feature_vars(f5, CimConfig(m_features=m), seed=seed)
+        assert cim._channels.cache_info().hits == hits + 2
 
     def test_single_sample_rejected(self):
         with pytest.raises(DegenerateInputError):
