@@ -18,15 +18,27 @@ Design notes:
     tensor it produced; a leaf (a parameter, or a tensor this tape did not
     produce) is held as itself. Gradient functions capture the shapes and
     arrays they read, never an input ``Tensor``.
-  * A convolution of stride s splits one zero-padded copy of its input into
-    s x s flat phase planes (a space-to-depth) of Ho + e rows by Wq = Wo + e
-    columns, e = (K - 1) // s, so each kernel tap is a zero-copy view of the
-    planes. With fewer input than output channels, or a depthwise kernel, the
-    taps are gathered for one GEMM per group; otherwise each tap runs its own
-    (O, C) GEMM into an Ho x Wq output, cropped once. Backward adds each tap's
-    share into zeroed planes and crops them to x; the kernel gradient rebuilds
-    the planes from x, which is all the tape keeps. A kernel is dense,
-    (O, C, K, K), or depthwise, (C, 1, K, K).
+  * An op may record a ``prep`` with its node. Backward applies it to the
+    node's output gradient once, hands the result to every edge and drops it
+    when the node is done, so work that the edges share runs once per node:
+    ``conv2d`` lays the gradient out for its path, ``upsample_conv2d``
+    unshuffles it onto its parity grids, and ``affine_norm`` sums g * xc.
+  * A kernel is dense, (O, C, K, K), or depthwise, (C, 1, K, K), and a
+    convolution runs one of two ways; the tape keeps only x and the kernel.
+    - Gathered taps, for a depthwise kernel or C < O with K > 1: each tap's
+      window of every output is copied from a strided view of x, zero where
+      it reads padding, for one GEMM per group. A dense kernel's input
+      gradient is the gather's exact adjoint: one GEMM of the kernel's
+      transpose with the output gradient, then a scatter that sums the taps
+      landing on each stride x stride phase of x in tap order and writes that
+      phase once. Its kernel gradient is one batched GEMM against the taps,
+      gathered again from x. A depthwise kernel's backward runs per tap.
+    - Per tap, otherwise: one zero-padded copy of x splits into s x s flat
+      phase planes of Ho + e rows by Wq = Wo + e columns, e = (K - 1) // s,
+      so each tap is a zero-copy view of the planes and runs its own (O, C)
+      GEMM into an Ho x Wq output, cropped once. Backward lays the output
+      gradient on the Ho x Wq grid, adds each tap's share into zeroed planes
+      and crops them to x; the kernel gradient rebuilds the planes from x.
   * The decoder's 3x3 conv of a nearest 2x upsample is one node: four 2x2
     parity kernels run as one conv on the low-res input, and backward runs
     that conv's own gradient maps (see ``upsample_conv2d``).
@@ -134,11 +146,16 @@ class _Key:
 
 
 class _Node:
-    __slots__ = ("out", "edges")
+    """One recorded op: its output's key, one edge per input that needs a
+    gradient, and the op's ``prep``, if any, which backward applies to the
+    output's gradient once before all the edges read it (see the design notes)."""
 
-    def __init__(self, out: _Key, edges: tuple[tuple[_Key | Tensor, Callable], ...]):
+    __slots__ = ("out", "edges", "prep")
+
+    def __init__(self, out: _Key, edges: tuple[tuple[_Key | Tensor, Callable], ...], prep: Callable | None):
         self.out = out
-        self.edges = edges  # (input's key, or a leaf input itself; output gradient -> that input's gradient)
+        self.edges = edges  # (input's key, or a leaf input itself; prepared output gradient -> that input's gradient)
+        self.prep = prep
 
 
 class Tape:
@@ -175,12 +192,13 @@ class Tape:
         return key if key is not None and key.token is self._token else t
 
 
-def _record(out: Tensor, *edges: tuple[Tensor, Callable]) -> Tensor:
+def _record(out: Tensor, *edges: tuple[Tensor, Callable], prep: Callable | None = None) -> Tensor:
     """Attach a node to the active tape if any input participates in autodiff.
 
     Each edge pairs one input with the function that maps the output's
-    gradient to that input's gradient. Edges of inputs that need no gradient
-    are dropped here, with whatever their functions captured.
+    gradient, passed through ``prep`` first if given, to that input's
+    gradient. Edges of inputs that need no gradient are dropped here, with
+    whatever their functions captured.
     """
     stack = _active_tapes.get()
     if stack:
@@ -189,7 +207,7 @@ def _record(out: Tensor, *edges: tuple[Tensor, Callable]) -> Tensor:
         if kept:
             out.requires_grad = True
             out._key = _Key(tape._token)
-            tape._nodes.append(_Node(out._key, kept))
+            tape._nodes.append(_Node(out._key, kept, prep))
     return out
 
 
@@ -212,6 +230,8 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
         g_out = grads.pop(node.out, None)
         if g_out is None:
             continue  # dead branch: output never influenced the loss
+        if node.prep is not None:
+            g_out = node.prep(g_out)  # once per node; dropped when the next node's gradient is popped
         # Compute all of a node's gradients before accumulating any. The other
         # order frees and allocates the large arrays differently, and on a
         # train_conv step it left glibc's heap about 6 MB (3%) larger in
@@ -477,12 +497,16 @@ def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = 
     y = xc * (gain[..., None] * inv[:, :, None, None])
     y += shift.data.reshape(groups, cg, 1)
 
-    def grad_x(g):
+    def prep(g):  # g, and its per-(sample, group, channel) sum of g * xc, which x's and scale's gradients share
+        return g, np.einsum("ngcr,ngcr->ngc", g.reshape(xc.shape), xc)
+
+    def grad_x(prepped):
         # closed form of the normalisation's backward (Wu & He, 2018), from the
         # per-(sample, channel) sums of g and of g * xc
+        g, gxc = prepped
         g = g.reshape(xc.shape)
         mean_g = np.einsum("ngc,gc->ng", np.einsum("ngcr->ngc", g), gain)[:, :, None, None] / size
-        mean_gxc = np.einsum("ngc,gc->ng", np.einsum("ngcr,ngcr->ngc", g, xc), gain)[:, :, None, None] / size
+        mean_gxc = np.einsum("ngc,gc->ng", gxc, gain)[:, :, None, None] / size
         inv4 = inv[:, :, None, None]
         gx = g * (gain[..., None] * inv4)
         t = xc * (-inv4 ** 3 * mean_gxc)
@@ -490,11 +514,12 @@ def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = 
         gx += t
         return gx.reshape(xshape)
 
-    def grad_scale(g):
-        return np.einsum("ngc,ng->gc", np.einsum("ngcr,ngcr->ngc", g.reshape(xc.shape), xc), inv).reshape(c)
+    def grad_scale(prepped):
+        return np.einsum("ngc,ng->gc", prepped[1], inv).reshape(c)
 
     summed = (0,) + tuple(range(2, x.data.ndim))
-    return _record(Tensor(y.reshape(xshape)), (x, grad_x), (scale, grad_scale), (shift, lambda g: g.sum(axis=summed)))
+    return _record(Tensor(y.reshape(xshape)), (x, grad_x), (scale, grad_scale),
+                   (shift, lambda prepped: prepped[0].sum(axis=summed)), prep=prep)
 
 
 # ---------------------------------------------------------------------------
@@ -539,20 +564,89 @@ def _unplanes(buf: np.ndarray, xshape: tuple, stride: int, pad: int, rows: int, 
     return gx
 
 
+def _spans(extent: int, count: int, k: int, stride: int, pad: int) -> list[tuple[int, int, int]]:
+    """Per kernel offset on one axis: the outputs [lo, hi) whose window reads
+    inside the input there, and the input index that output lo reads."""
+    out = []
+    for offset in range(-pad, k - pad):
+        lo = min(count, max(0, -(offset // stride)))
+        hi = max(lo, min(count, (extent - 1 - offset) // stride + 1))
+        out.append((lo, hi, stride * lo + offset))
+    return out
+
+
+def _windows(xshape: tuple, k: int, stride: int, pad: int, ho: int, wo: int) -> list:
+    """Per kernel tap, in tap order: its row and its column ``_spans``."""
+    return [(r, c) for r in _spans(xshape[2], ho, k, stride, pad) for c in _spans(xshape[3], wo, k, stride, pad)]
+
+
+def _fill(buf: np.ndarray, block: np.ndarray, i: int, j: int) -> None:
+    """Write ``block`` into ``buf`` from row i, column j of their last two axes, and 0 around it."""
+    r, c = block.shape[-2:]
+    buf[..., i:i + r, j:j + c] = block
+    if i:
+        buf[..., :i, :] = 0.0
+    if i + r < buf.shape[-2]:
+        buf[..., i + r:, :] = 0.0
+    if j:
+        buf[..., :j] = 0.0
+    if j + c < buf.shape[-1]:
+        buf[..., j + c:] = 0.0
+
+
+def _gather(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
+    """Each tap's window of every output, copied from a strided view of x:
+    (N, C, K * K, Ho, Wo), 0 where the window reads padding."""
+    cols = np.empty(x.shape[:2] + (k * k, ho, wo))
+    for t, ((r0, r1, xr), (c0, c1, xc)) in enumerate(_windows(x.shape, k, stride, pad, ho, wo)):
+        _fill(cols[:, :, t], x[..., xr:xr + stride * (r1 - r0):stride, xc:xc + stride * (c1 - c0):stride], r0, c0)
+    return cols
+
+
+def _scatter(cols: np.ndarray, xshape: tuple, k: int, stride: int, pad: int) -> np.ndarray:
+    """The adjoint of ``_gather``: each tap's window gradients added back onto x.
+
+    A tap's windows land on one phase of x, the pixels at rows a + stride * i
+    and columns b + stride * j. Each phase sums its taps in tap order, in one
+    buffer written to x once unless the phase is all of x or has one tap;
+    pixels that no window reads get 0.
+    """
+    ho, wo = cols.shape[-2:]
+    windows = [(t, r, c) for t, (r, c) in enumerate(_windows(xshape, k, stride, pad, ho, wo))
+               if r[1] > r[0] and c[1] > c[0]]  # taps that read x at all
+    gx = np.empty(xshape)
+    for a, b in np.ndindex(stride, stride):
+        phase = gx[..., a::stride, b::stride]
+        taps = [(cols[:, :, t, r0:r1, c0:c1], xr // stride, xc // stride)
+                for t, (r0, r1, xr), (c0, c1, xc) in windows if xr % stride == a and xc % stride == b]
+        if not taps:
+            phase[...] = 0.0
+            continue
+        acc = phase if stride == 1 or len(taps) == 1 else np.empty(phase.shape)
+        _fill(acc, *taps[0])
+        for block, i, j in taps[1:]:
+            acc[..., i:i + block.shape[-2], j:j + block.shape[-1]] += block
+        if acc is not phase:
+            phase[...] = acc
+    return gx
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with a kernel (no kernel flip).
 
     The kernel is dense, (O, C, K, K), or depthwise, (C, 1, K, K), where
     output channel i filters input channel i alone. Each kernel tap reads a
-    view of the zero-padded input's phase planes (see the design notes).
+    strided view of x or a view of its zero-padded phase planes (see the
+    design notes).
     """
-    y, grad_x, grad_kernel = _conv2d(x.data, kernel.data, stride, padding)
-    return _record(Tensor(np.ascontiguousarray(y)), (x, grad_x), (kernel, grad_kernel))
+    y, prep, grad_x, grad_kernel = _conv2d(x.data, kernel.data, stride, padding)
+    return _record(Tensor(np.ascontiguousarray(y)), (x, grad_x), (kernel, grad_kernel), prep=prep)
 
 
-def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.ndarray, Callable, Callable]:
+def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.ndarray, Callable, Callable, Callable]:
     """``conv2d`` on arrays, with its checks: the output, which may be a view of
-    a wider grid, and the maps from the output's gradient to x's and the kernel's."""
+    a wider grid, and its backward: ``prep``, which lays the output's gradient
+    out once per node, and the maps from that to x's and the kernel's gradients."""
     if xd.ndim != 4 or kd.ndim != 4:
         raise ShapeError("conv2d", xd.shape, kd.shape, detail="NCHW input and OCKK kernel required")
     xshape, kshape = xd.shape, kd.shape
@@ -567,11 +661,25 @@ def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.nd
     ho, wo = _conv_out_extent(h, kh, s, padding), _conv_out_extent(w, kw, s, padding)
     if ho < 1 or wo < 1:
         raise ShapeError("conv2d", xshape, kshape, detail=f"output extent {ho}x{wo} non-positive")
+    if c < o and kh > 1:  # few inputs per output: one GEMM on the gathered taps
+        ckk = c * kh * kw
+        wmat = kd.reshape(o, ckk)
+        y = (wmat @ _gather(xd, kh, s, padding, ho, wo).reshape(n, ckk, ho * wo)).reshape(n, o, ho, wo)
+
+        def scatter_x(g):  # the gather's exact adjoint
+            return _scatter((wmat.T @ g).reshape(n, c, kh * kw, ho, wo), xshape, kh, s, padding)
+
+        def gemm_kernel(g):  # the taps gathered again, so the tape holds only x
+            cols = _gather(xd, kh, s, padding, ho, wo).reshape(n, ckk, ho * wo)
+            return (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kshape)
+
+        return y, lambda g: g.reshape(n, o, ho * wo), scatter_x, gemm_kernel
+
+    depthwise = ck == 1 and o == c
     e = (kh - 1) // s  # how far a tap's offset reaches into a phase plane, in rows and columns
     rows, wq = ho + e, wo + e
     m = ho * wq  # a tap's view: Ho rows of Wq entries, whose columns past Wo are cropped
     direct = kh == 1 and s == 1 and padding == 0  # x is its own single plane
-    depthwise = ck == 1 and o == c
     taps = [(ki % s, kj % s, (ki // s) * wq + kj // s) for ki in range(kh) for kj in range(kw)]
     wt = np.ascontiguousarray(kd.reshape(o, ck, kh * kw).transpose(2, 0, 1))  # per tap (O, C) or (C, 1)
 
@@ -585,15 +693,11 @@ def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.nd
     def tap_back(t, gg, out=None):
         return np.multiply(gg, wt[t], out=out) if depthwise else np.matmul(wt[t].T, gg, out=out)
 
-    p = planes()
-    if depthwise or (c < o and kh > 1):  # few inputs per output: gather the taps for one GEMM per group
-        cols = np.empty((n, c, kh * kw, ho, wo))
-        for t in range(len(taps)):
-            cols[:, :, t] = view(p, t).reshape(n, c, ho, wq)[..., :wo]
-        groups = c // ck
-        y = kd.reshape(groups, o // groups, ck * kh * kw) @ cols.reshape(n, groups, ck * kh * kw, ho * wo)
+    if depthwise:  # one output per input channel: gather its taps for one GEMM per channel
+        y = kd.reshape(c, 1, kh * kw) @ _gather(xd, kh, s, padding, ho, wo).reshape(n, c, kh * kw, ho * wo)
         y = y.reshape(n, o, ho, wo)
     else:  # one (O, C) GEMM per tap, added into the output
+        p = planes()
         y, scratch = wt[0] @ view(p, 0), None
         for t in range(1, len(taps)):
             scratch = np.matmul(wt[t], view(p, t), out=scratch)
@@ -603,12 +707,11 @@ def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.nd
     def grid(g):  # the output gradient on the Ho x Wq grid, zero past Wo
         if wq == wo:
             return g.reshape(n, o, m)
-        gg = np.zeros((n, o, ho, wq))
-        gg[..., :wo] = g
+        gg = np.empty((n, o, ho, wq))
+        _fill(gg, g, 0, 0)
         return gg.reshape(n, o, m)
 
-    def grad_x(g):
-        gg = grid(g)
+    def tap_x(gg):
         if direct:
             return tap_back(0, gg).reshape(xshape)
         gp, scratch = np.zeros((n, c, s, s, rows * wq + e)), None
@@ -618,15 +721,15 @@ def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.nd
             v += scratch
         return _unplanes(gp, xshape, s, padding, rows, wq)
 
-    def grad_kernel(g):
-        gg, p = grid(g), planes()
+    def tap_kernel(gg):
+        p = planes()
         if depthwise:
             per_tap = [np.einsum("ncm,ncm->c", gg, view(p, t)) for t in range(len(taps))]
         else:
             per_tap = [(gg @ view(p, t).transpose(0, 2, 1)).sum(axis=0) for t in range(len(taps))]
         return np.stack(per_tap, axis=-1).reshape(kshape)
 
-    return y, grad_x, grad_kernel
+    return y, grid, tap_x, tap_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +759,9 @@ def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     A sub-pixel convolution (Shi et al., arXiv 1609.05158): the kernel folds
     into four parity kernels over 2x2 low-res windows, one 2x2 pad-1 conv
     runs them on ``x`` into (H + 1) x (W + 1) grids, and a pixel shuffle
-    writes each parity's H x W crop into (N, O, 2H, 2W). Backward runs the
-    conv's own gradient maps. The upsampled tensor is never built.
+    writes each parity's H x W crop into (N, O, 2H, 2W). Backward unshuffles
+    the output gradient onto the grids once per node and runs the conv's own
+    gradient maps on it. The upsampled tensor is never built.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail="NCHW input and OCKK kernel required")
@@ -668,21 +772,21 @@ def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     if ck != c:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail=f"kernel expects {ck} channels, input has {c}")
     # (O*C, 9) @ (9, 16) -> (O, C, a, b, 2, 2) -> parity kernels (a, b, O) x (C, 2, 2)
-    folded = (kernel.data.reshape(o * c, 9) @ _PARITY_FOLD).reshape(o, c, 4, 4)
-    y, conv_grad_x, conv_grad_kernel = _conv2d(x.data, folded.transpose(2, 0, 1, 3).reshape(4 * o, c, 2, 2), 1, 1)
+    folded = (kernel.data.reshape(o * c, 9) @ _PARITY_FOLD).reshape(o, c, 4, 4).transpose(2, 0, 1, 3)
+    y, conv_prep, conv_grad_x, conv_grad_kernel = _conv2d(x.data, folded.reshape(4 * o, c, 2, 2), 1, 1)
     grids, out = y.reshape(n, 2, 2, o, h + 1, w + 1), np.empty((n, o, h, 2, w, 2))
     for a, b in np.ndindex(2, 2):  # parity (a, b) is the crop of its grid from row a, column b
         out[:, :, :, a, :, b] = grids[:, a, b, :, a:a + h, b:b + w]
 
     def unshuffle(g):  # the output gradient on the conv's grids, zero outside each parity's crop
-        g, gg = g.reshape(n, o, h, 2, w, 2), np.zeros((n, 2, 2, o, h + 1, w + 1))
+        g, gg = g.reshape(n, o, h, 2, w, 2), np.empty((n, 2, 2, o, h + 1, w + 1))
         for a, b in np.ndindex(2, 2):
-            gg[:, a, b, :, a:a + h, b:b + w] = g[:, :, :, a, :, b]
-        return gg.reshape(n, 4 * o, h + 1, w + 1)
+            _fill(gg[:, a, b], g[:, :, :, a, :, b], a, b)
+        return conv_prep(gg.reshape(n, 4 * o, h + 1, w + 1))
 
-    def grad_kernel(g):
-        gk = conv_grad_kernel(unshuffle(g)).reshape(4, o, c, 4).transpose(1, 2, 0, 3)
+    def grad_kernel(gg):
+        gk = conv_grad_kernel(gg).reshape(4, o, c, 4).transpose(1, 2, 0, 3)
         return (gk.reshape(o * c, 16) @ _PARITY_FOLD.T).reshape(o, c, 3, 3)
 
     out = Tensor(out.reshape(n, o, 2 * h, 2 * w))
-    return _record(out, (x, lambda g: conv_grad_x(unshuffle(g))), (kernel, grad_kernel))
+    return _record(out, (x, conv_grad_x), (kernel, grad_kernel), prep=unshuffle)

@@ -278,15 +278,21 @@ class TestConvBackward:
                 np.testing.assert_allclose(gx, ox, rtol=0, atol=atol)
                 np.testing.assert_allclose(gk, ok[:, None], rtol=0, atol=atol)
 
-    @pytest.mark.parametrize("op", ["conv2d", "depthwise", "upsample_conv2d"])
+    # Each op's input gradient ends in one helper: ``_scatter`` on the gathered
+    # path (C < O with K > 1, as in the 3 -> 4 conv and the sub-pixel conv's
+    # parity kernels), ``_unplanes`` on the per-tap path (depthwise, C >= O).
+    @pytest.mark.parametrize("op", ["conv2d", "depthwise", "dense", "upsample_conv2d"])
     def test_constant_input_gets_no_gradient(self, op, monkeypatch):
+        helper = "_unplanes" if op in ("depthwise", "dense") else "_scatter"
         g = rng(13)
-        x, kernel = g.normal(size=(2, 3, 4, 5)), g.normal(size=(3, 1, 3, 3) if op == "depthwise" else (4, 3, 3, 3))
+        kshape = {"depthwise": (3, 1, 3, 3), "dense": (2, 3, 3, 3)}.get(op, (4, 3, 3, 3))
+        x, kernel = g.normal(size=(2, 3, 4, 5)), g.normal(size=kshape)
         conv = {"conv2d": lambda t, k: T.conv2d(t, k, 1, 1), "depthwise": lambda t, k: T.conv2d(t, k, 2, 1),
-                "upsample_conv2d": T.upsample_conv2d}[op]
-        scatters = []  # calls of the helper that maps gradient planes onto x
-        unplanes = T._unplanes
-        monkeypatch.setattr(T, "_unplanes", lambda *a: scatters.append(a) or unplanes(*a))
+                "dense": lambda t, k: T.conv2d(t, k, 2, 1), "upsample_conv2d": T.upsample_conv2d}[op]
+        calls = {"_scatter": [], "_unplanes": []}  # calls of the helpers that map gradients onto x
+        for name, calls_of in calls.items():
+            real = getattr(T, name)
+            monkeypatch.setattr(T, name, lambda *a, real=real, calls_of=calls_of: calls_of.append(a) or real(*a))
         kernel_grads = []
         for x_requires_grad in (True, False):
             xt, kt = Tensor(x, requires_grad=x_requires_grad), Tensor(kernel, requires_grad=True)
@@ -294,8 +300,10 @@ class TestConvBackward:
                 loss = T.total_sum(T.mul(conv(xt, kt), T.relu(conv(xt, kt))))
             grads = backward(loss, tape)
             assert (xt in grads) == x_requires_grad
-            assert len(scatters) == (2 if x_requires_grad else 0)
-            scatters.clear()
+            assert {name: len(c) for name, c in calls.items()} == {
+                name: 2 if x_requires_grad and name == helper else 0 for name in calls}
+            for c in calls.values():
+                c.clear()
             kernel_grads.append(grads[kt])
         np.testing.assert_array_equal(kernel_grads[1], kernel_grads[0])
 
@@ -344,6 +352,63 @@ class TestConvSweep:
             np.testing.assert_allclose(moved, move(y), rtol=0, atol=1e-12 * np.max(np.abs(y)))
 
 
+# The 15 convs of a train_conv step (64x64, batch 8): x's shape, the kernel's,
+# stride and padding. Indices 0, 2, 5, 7, 10, 12 and 13 run on gathered taps.
+MODEL_CONVS = [
+    ((8, 3, 64, 64), (8, 3, 3, 3), 2, 1), ((8, 3, 64, 64), (12, 3, 1, 1), 1, 0),
+    ((8, 12, 64, 64), (12, 1, 3, 3), 2, 1), ((8, 12, 32, 32), (8, 12, 1, 1), 1, 0),
+    ((8, 16, 32, 32), (8, 16, 3, 3), 1, 1), ((8, 8, 32, 32), (16, 8, 3, 3), 2, 1),
+    ((8, 8, 32, 32), (32, 8, 1, 1), 1, 0), ((8, 32, 32, 32), (32, 1, 3, 3), 2, 1),
+    ((8, 32, 16, 16), (16, 32, 1, 1), 1, 0), ((8, 32, 16, 16), (16, 32, 3, 3), 1, 1),
+    ((8, 16, 16, 16), (32, 16, 2, 2), 1, 1), ((8, 8, 32, 32), (8, 8, 3, 3), 1, 1),
+    ((8, 8, 32, 32), (32, 8, 2, 2), 1, 1), ((8, 3, 64, 64), (8, 3, 3, 3), 1, 1),
+    ((8, 8, 64, 64), (2, 8, 1, 1), 1, 0),
+]
+
+
+def planes_taps(x, k, stride, pad):
+    """Each tap's window as the earlier gather read it: a view of the zero-padded
+    input's phase planes, cropped from Ho x Wq to Ho x Wo."""
+    n, c, h, w = x.shape
+    ho, wo = T._conv_out_extent(h, k, stride, pad), T._conv_out_extent(w, k, stride, pad)
+    e = (k - 1) // stride
+    wq, m = wo + e, ho * (wo + e)
+    p = T._planes(x, stride, pad, ho + e, wq, e)
+    cols = np.empty((n, c, k * k, ho, wo))
+    for ki, kj in np.ndindex(k, k):
+        off = (ki // stride) * wq + kj // stride
+        cols[:, :, ki * k + kj] = p[:, :, ki % stride, kj % stride, off:off + m].reshape(n, c, ho, wq)[..., :wo]
+    return cols
+
+
+class TestGatherScatter:
+    @pytest.mark.parametrize("k,stride,pad", SWEEP)
+    def test_scatter_is_the_gathers_adjoint(self, k, stride, pad):
+        # <gather(x), G> = <x, scatter(G)> for every x and G: scatter is the
+        # gather's transpose, so it is x's exact gradient for any kernel.
+        g = rng(43)
+        for h, w in [(8, 8), (7, 9)]:
+            ho, wo = T._conv_out_extent(h, k, stride, pad), T._conv_out_extent(w, k, stride, pad)
+            x, cols = g.normal(size=(2, 3, h, w)), g.normal(size=(2, 3, k * k, ho, wo))
+            gathered, scattered = T._gather(x, k, stride, pad, ho, wo), T._scatter(cols, x.shape, k, stride, pad)
+            assert gathered.shape == cols.shape and scattered.shape == x.shape
+            np.testing.assert_allclose(np.vdot(gathered, cols), np.vdot(x, scattered), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("xshape,kshape,stride,pad", MODEL_CONVS)
+    def test_gathered_forward_matches_planes(self, xshape, kshape, stride, pad):
+        g = rng(44)
+        x, kernel = g.normal(size=xshape), g.normal(size=kshape)
+        (n, c, h, w), (o, ck, k, _) = xshape, kshape
+        ho, wo = T._conv_out_extent(h, k, stride, pad), T._conv_out_extent(w, k, stride, pad)
+        cols = planes_taps(x, k, stride, pad)
+        np.testing.assert_array_equal(T._gather(x, k, stride, pad, ho, wo), cols)
+        if ck == 1 or (c < o and k > 1):  # the convs that run on gathered taps: the earlier forward, bit for bit
+            groups = c // ck
+            y = kernel.reshape(groups, o // groups, ck * k * k) @ cols.reshape(n, groups, ck * k * k, ho * wo)
+            y_now = T.conv2d(Tensor(x), Tensor(kernel), stride, pad).data
+            np.testing.assert_array_equal(y_now, y.reshape(n, o, ho, wo))
+
+
 class TestConstantEdges:
     def test_no_edge_runs_for_a_constant_input(self, monkeypatch):
         """The decoder and the three losses under one tape: every gradient
@@ -357,9 +422,9 @@ class TestConstantEdges:
         constants = []
         record = T._record
 
-        def guarded(out, *edges):
+        def guarded(out, *edges, **prep):
             constants.extend(t for t, _ in edges if not t.requires_grad)
-            return record(out, *((t, fn if t.requires_grad else constant_edge) for t, fn in edges))
+            return record(out, *((t, fn if t.requires_grad else constant_edge) for t, fn in edges), **prep)
 
         def run():
             g = rng(21)

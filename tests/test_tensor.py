@@ -484,6 +484,49 @@ class TestTapeHolds:
         assert peak < cols_bytes / 2
 
 
+class TestNodePrep:
+    """A node's ``prep`` runs once per backward, however many of its inputs
+    need a gradient, and backward keeps none of its results."""
+
+    OPS = {  # x's shape, the weight's shape, and the op on (x, weight)
+        "conv2d_per_tap": ((2, 4, 6, 6), (3, 4, 3, 3), lambda x, k: T.conv2d(x, k, 1, 1)),
+        "conv2d_depthwise": ((2, 4, 6, 6), (4, 1, 3, 3), lambda x, k: T.conv2d(x, k, 2, 1)),
+        "conv2d_gathered": ((2, 3, 6, 6), (5, 3, 3, 3), lambda x, k: T.conv2d(x, k, 2, 1)),
+        "upsample_conv2d": ((2, 3, 4, 5), (4, 3, 3, 3), T.upsample_conv2d),
+        "group_norm": ((2, 4, 3, 5), (4,), lambda x, scale: B.group_norm(x, scale, Tensor(np.zeros(4)), 2)),
+    }
+
+    @pytest.mark.parametrize("x_requires_grad", [False, True])
+    @pytest.mark.parametrize("op", list(OPS))
+    def test_prep_runs_once_and_is_dropped(self, op, x_requires_grad, monkeypatch):
+        xshape, wshape, fn = self.OPS[op]
+        g = rng(36)
+        x = Tensor(g.normal(size=xshape), requires_grad=x_requires_grad)
+        weight = Tensor(g.normal(size=wshape), requires_grad=True)
+        calls, results = [], []
+        record = T._record
+
+        def counting(out, *edges, prep=None):
+            def counted(grad):
+                prepped = prep(grad)
+                calls.append(op)
+                results.extend(weakref.ref(a) for a in (prepped if isinstance(prepped, tuple) else (prepped,)))
+                return prepped
+
+            return record(out, *edges, prep=counted if prep is not None else None)
+
+        monkeypatch.setattr(T, "_record", counting)
+        with Tape() as tape:
+            y = fn(x, weight)
+            loss = T.total_sum(T.mul(y, Tensor(g.normal(size=y.shape))))
+        (node, *_) = tape._nodes
+        assert node.prep is not None and len(node.edges) == 1 + x_requires_grad
+        grads = backward(loss, tape)
+        assert calls == [op]
+        assert results and all(ref() is None for ref in results)
+        assert (x in grads) == x_requires_grad and weight in grads
+
+
 class TestGradCheck:
     def test_linear_exact(self):
         x = Tensor(rng(9).normal(size=(2, 3)))
