@@ -34,6 +34,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--steps", type=int, default=64)
     args = ap.parse_args()
+    if args.steps < 1:
+        ap.error(f"--steps must be at least 1, got {args.steps}")
 
     x, y = H.make_images(args.seed, 1, BATCH * BATCHES, SIZE, "train")
     batches = [(x[i:i + BATCH], y[i:i + BATCH]) for i in range(0, len(x), BATCH)]

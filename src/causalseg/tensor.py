@@ -33,12 +33,13 @@ Design notes:
       landing on each stride x stride phase of x in tap order and writes that
       phase once. Its kernel gradient is one batched GEMM against the taps,
       gathered again from x. A depthwise kernel's backward runs per tap.
-    - Per tap, otherwise: one zero-padded copy of x splits into s x s flat
-      phase planes of Ho + e rows by Wq = Wo + e columns, e = (K - 1) // s,
-      so each tap is a zero-copy view of the planes and runs its own (O, C)
-      GEMM into an Ho x Wq output, cropped once. Backward lays the output
-      gradient on the Ho x Wq grid, adds each tap's share into zeroed planes
-      and crops them to x; the kernel gradient rebuilds the planes from x.
+    - Per tap, otherwise: x splits into s x s flat phase planes, the gather
+      with K = stride over (Ho + e) x (Wo + e) windows, e = (K - 1) // s, so
+      each tap is a zero-copy view of the planes and runs its own (O, C) GEMM
+      into an Ho x (Wo + e) grid, cropped once. Backward adds each tap's share
+      of the gradient on that grid into zeroed planes, which return to x
+      through the scatter; the kernel gradient gathers the planes again.
+      ``_spans`` is the one tap-window geometry, and both paths use it.
   * The decoder's 3x3 conv of a nearest 2x upsample is one node: four 2x2
     parity kernels run as one conv on the low-res input, and backward runs
     that conv's own gradient maps (see ``upsample_conv2d``).
@@ -530,40 +531,6 @@ def _conv_out_extent(extent: int, k: int, stride: int, pad: int) -> int:
     return (extent + 2 * pad - k) // stride + 1
 
 
-def _phases(xshape: tuple, stride: int, pad: int, rows: int, cols: int) -> list[tuple[tuple, tuple]]:
-    """Per phase (a, b) of the zero-padded input, split into stride x stride
-    planes of (rows, cols): the plane entries that input pixels land on, as an
-    index into (N, C, stride, stride, rows, cols), and those pixels' index."""
-
-    def axis(extent, phase, count):
-        first = (phase - pad) % stride
-        src = range(first, max(first, min(extent, stride * count - pad)), stride)
-        at = (first + pad) // stride
-        return slice(at, at + len(src)), slice(src.start, src.stop, stride)
-
-    rs = [axis(xshape[2], a, rows) for a in range(stride)]
-    cs = [axis(xshape[3], b, cols) for b in range(stride)]
-    return [((..., a, b, pr, pc), (..., xr, xc)) for a, (pr, xr) in enumerate(rs) for b, (pc, xc) in enumerate(cs)]
-
-
-def _planes(x: np.ndarray, stride: int, pad: int, rows: int, cols: int, spare: int) -> np.ndarray:
-    """The zero-padded input as phase planes, each flat: (N, C, stride, stride, rows * cols + spare)."""
-    buf = np.zeros(x.shape[:2] + (stride, stride, rows * cols + spare))
-    grid = buf[..., :rows * cols].reshape(x.shape[:2] + (stride, stride, rows, cols))
-    for plane, pixels in _phases(x.shape, stride, pad, rows, cols):
-        grid[plane] = x[pixels]
-    return buf
-
-
-def _unplanes(buf: np.ndarray, xshape: tuple, stride: int, pad: int, rows: int, cols: int) -> np.ndarray:
-    """Gradients on flat phase planes back onto the input; pixels no window reads get 0."""
-    grid = buf[..., :rows * cols].reshape(xshape[:2] + (stride, stride, rows, cols))
-    gx = np.zeros(xshape)
-    for plane, pixels in _phases(xshape, stride, pad, rows, cols):
-        gx[pixels] = grid[plane]
-    return gx
-
-
 def _spans(extent: int, count: int, k: int, stride: int, pad: int) -> list[tuple[int, int, int]]:
     """Per kernel offset on one axis: the outputs [lo, hi) whose window reads
     inside the input there, and the input index that output lo reads."""
@@ -594,10 +561,10 @@ def _fill(buf: np.ndarray, block: np.ndarray, i: int, j: int) -> None:
         buf[..., j + c:] = 0.0
 
 
-def _gather(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
-    """Each tap's window of every output, copied from a strided view of x:
-    (N, C, K * K, Ho, Wo), 0 where the window reads padding."""
-    cols = np.empty(x.shape[:2] + (k * k, ho, wo))
+def _gather(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Each tap's window of every output, copied from a strided view of x into
+    ``out`` or a new array: (N, C, K * K, Ho, Wo), 0 where the window reads padding."""
+    cols = np.empty(x.shape[:2] + (k * k, ho, wo)) if out is None else out
     for t, ((r0, r1, xr), (c0, c1, xc)) in enumerate(_windows(x.shape, k, stride, pad, ho, wo)):
         _fill(cols[:, :, t], x[..., xr:xr + stride * (r1 - r0):stride, xc:xc + stride * (c1 - c0):stride], r0, c0)
     return cols
@@ -635,9 +602,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     """Cross-correlation of NCHW input with a kernel (no kernel flip).
 
     The kernel is dense, (O, C, K, K), or depthwise, (C, 1, K, K), where
-    output channel i filters input channel i alone. Each kernel tap reads a
-    strided view of x or a view of its zero-padded phase planes (see the
-    design notes).
+    output channel i filters input channel i alone. Each kernel tap reads
+    windows gathered from x or a view of x's phase planes (see the design notes).
     """
     y, prep, grad_x, grad_kernel = _conv2d(x.data, kernel.data, stride, padding)
     return _record(Tensor(np.ascontiguousarray(y)), (x, grad_x), (kernel, grad_kernel), prep=prep)
@@ -683,8 +649,16 @@ def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.nd
     taps = [(ki % s, kj % s, (ki // s) * wq + kj // s) for ki in range(kh) for kj in range(kw)]
     wt = np.ascontiguousarray(kd.reshape(o, ck, kh * kw).transpose(2, 0, 1))  # per tap (O, C) or (C, 1)
 
+    def phases(p):  # flat planes (N, C, s, s, rows * wq + e) as the taps of a K = s gather over rows x wq
+        return p[..., :rows * wq].reshape(n, c, s * s, rows, wq)
+
     def planes():  # built again by the kernel gradient, so the tape holds only x
-        return xd.reshape(n, c, 1, 1, m) if direct else _planes(xd, s, padding, rows, wq, e)
+        if direct:
+            return xd.reshape(n, c, 1, 1, m)
+        p = np.empty((n, c, s, s, rows * wq + e))
+        p[..., rows * wq:] = 0.0
+        _gather(xd, s, s, padding, rows, wq, out=phases(p))
+        return p
 
     def view(p, t):  # tap t's window of every output: (N, C, Ho * Wq) with contiguous rows
         a, b, off = taps[t]
@@ -719,7 +693,7 @@ def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.nd
             scratch = tap_back(t, gg, out=scratch)
             v = view(gp, t)
             v += scratch
-        return _unplanes(gp, xshape, s, padding, rows, wq)
+        return _scatter(phases(gp), xshape, s, s, padding)
 
     def tap_kernel(gg):
         p = planes()

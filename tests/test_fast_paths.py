@@ -278,21 +278,19 @@ class TestConvBackward:
                 np.testing.assert_allclose(gx, ox, rtol=0, atol=atol)
                 np.testing.assert_allclose(gk, ok[:, None], rtol=0, atol=atol)
 
-    # Each op's input gradient ends in one helper: ``_scatter`` on the gathered
-    # path (C < O with K > 1, as in the 3 -> 4 conv and the sub-pixel conv's
-    # parity kernels), ``_unplanes`` on the per-tap path (depthwise, C >= O).
+    # Every op's input gradient ends in ``_scatter``: the gather's adjoint on
+    # the gathered path (C < O with K > 1, as in the 3 -> 4 conv and the
+    # sub-pixel conv's parity kernels), and the crop of the phase planes'
+    # gradient onto x on the per-tap path (depthwise, C >= O).
     @pytest.mark.parametrize("op", ["conv2d", "depthwise", "dense", "upsample_conv2d"])
     def test_constant_input_gets_no_gradient(self, op, monkeypatch):
-        helper = "_unplanes" if op in ("depthwise", "dense") else "_scatter"
         g = rng(13)
         kshape = {"depthwise": (3, 1, 3, 3), "dense": (2, 3, 3, 3)}.get(op, (4, 3, 3, 3))
         x, kernel = g.normal(size=(2, 3, 4, 5)), g.normal(size=kshape)
         conv = {"conv2d": lambda t, k: T.conv2d(t, k, 1, 1), "depthwise": lambda t, k: T.conv2d(t, k, 2, 1),
                 "dense": lambda t, k: T.conv2d(t, k, 2, 1), "upsample_conv2d": T.upsample_conv2d}[op]
-        calls = {"_scatter": [], "_unplanes": []}  # calls of the helpers that map gradients onto x
-        for name, calls_of in calls.items():
-            real = getattr(T, name)
-            monkeypatch.setattr(T, name, lambda *a, real=real, calls_of=calls_of: calls_of.append(a) or real(*a))
+        calls, real = [], T._scatter  # calls of the helper that maps gradients onto x
+        monkeypatch.setattr(T, "_scatter", lambda *a: calls.append(a) or real(*a))
         kernel_grads = []
         for x_requires_grad in (True, False):
             xt, kt = Tensor(x, requires_grad=x_requires_grad), Tensor(kernel, requires_grad=True)
@@ -300,10 +298,8 @@ class TestConvBackward:
                 loss = T.total_sum(T.mul(conv(xt, kt), T.relu(conv(xt, kt))))
             grads = backward(loss, tape)
             assert (xt in grads) == x_requires_grad
-            assert {name: len(c) for name, c in calls.items()} == {
-                name: 2 if x_requires_grad and name == helper else 0 for name in calls}
-            for c in calls.values():
-                c.clear()
+            assert len(calls) == (2 if x_requires_grad else 0)
+            calls.clear()
             kernel_grads.append(grads[kt])
         np.testing.assert_array_equal(kernel_grads[1], kernel_grads[0])
 
@@ -366,43 +362,51 @@ MODEL_CONVS = [
 ]
 
 
-def planes_taps(x, k, stride, pad):
-    """Each tap's window as the earlier gather read it: a view of the zero-padded
-    input's phase planes, cropped from Ho x Wq to Ho x Wo."""
-    n, c, h, w = x.shape
-    ho, wo = T._conv_out_extent(h, k, stride, pad), T._conv_out_extent(w, k, stride, pad)
+def padded_taps(x, k, stride, pad, ho, wo):
+    """Each tap's Ho x Wo windows, oracle for ``T._gather``: strided slices of
+    x zero-padded by ``pad`` and wide enough that every window fits."""
+    far = stride * max(ho, wo) + k  # zeros past the bottom and right edges
+    big = np.pad(x, ((0, 0), (0, 0), (pad, far), (pad, far)))
+    taps = [big[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] for ki, kj in np.ndindex(k, k)]
+    return np.stack(taps, axis=2)
+
+
+def phase_windows(h, w, k, stride, pad):
+    """The windows the per-tap path gathers: K = stride over (Ho + e) x (Wo + e)."""
     e = (k - 1) // stride
-    wq, m = wo + e, ho * (wo + e)
-    p = T._planes(x, stride, pad, ho + e, wq, e)
-    cols = np.empty((n, c, k * k, ho, wo))
-    for ki, kj in np.ndindex(k, k):
-        off = (ki // stride) * wq + kj // stride
-        cols[:, :, ki * k + kj] = p[:, :, ki % stride, kj % stride, off:off + m].reshape(n, c, ho, wq)[..., :wo]
-    return cols
+    return T._conv_out_extent(h, k, stride, pad) + e, T._conv_out_extent(w, k, stride, pad) + e
 
 
 class TestGatherScatter:
     @pytest.mark.parametrize("k,stride,pad", SWEEP)
     def test_scatter_is_the_gathers_adjoint(self, k, stride, pad):
         # <gather(x), G> = <x, scatter(G)> for every x and G: scatter is the
-        # gather's transpose, so it is x's exact gradient for any kernel.
+        # gather's transpose, so it is x's exact gradient for any kernel: on the
+        # conv's own windows and on the per-tap path's phase planes.
         g = rng(43)
         for h, w in [(8, 8), (7, 9)]:
-            ho, wo = T._conv_out_extent(h, k, stride, pad), T._conv_out_extent(w, k, stride, pad)
-            x, cols = g.normal(size=(2, 3, h, w)), g.normal(size=(2, 3, k * k, ho, wo))
-            gathered, scattered = T._gather(x, k, stride, pad, ho, wo), T._scatter(cols, x.shape, k, stride, pad)
-            assert gathered.shape == cols.shape and scattered.shape == x.shape
-            np.testing.assert_allclose(np.vdot(gathered, cols), np.vdot(x, scattered), rtol=1e-12, atol=0)
+            conv = (k, T._conv_out_extent(h, k, stride, pad), T._conv_out_extent(w, k, stride, pad))
+            for kk, ho, wo in (conv, (stride, *phase_windows(h, w, k, stride, pad))):
+                x, cols = g.normal(size=(2, 3, h, w)), g.normal(size=(2, 3, kk * kk, ho, wo))
+                gathered, scattered = T._gather(x, kk, stride, pad, ho, wo), T._scatter(cols, x.shape, kk, stride, pad)
+                assert gathered.shape == cols.shape and scattered.shape == x.shape
+                np.testing.assert_allclose(np.vdot(gathered, cols), np.vdot(x, scattered), rtol=1e-12, atol=0)
 
+    # At the model's convs, bit for bit: the gather against the padded-slice
+    # oracle, both for the conv's windows and for the per-tap path's phase
+    # planes, and the gathered convs' output against GEMMs on the oracle.
     @pytest.mark.parametrize("xshape,kshape,stride,pad", MODEL_CONVS)
     def test_gathered_forward_matches_planes(self, xshape, kshape, stride, pad):
         g = rng(44)
         x, kernel = g.normal(size=xshape), g.normal(size=kshape)
         (n, c, h, w), (o, ck, k, _) = xshape, kshape
         ho, wo = T._conv_out_extent(h, k, stride, pad), T._conv_out_extent(w, k, stride, pad)
-        cols = planes_taps(x, k, stride, pad)
+        cols = padded_taps(x, k, stride, pad, ho, wo)
         np.testing.assert_array_equal(T._gather(x, k, stride, pad, ho, wo), cols)
-        if ck == 1 or (c < o and k > 1):  # the convs that run on gathered taps: the earlier forward, bit for bit
+        rows, wq = phase_windows(h, w, k, stride, pad)  # the per-tap path's phase planes
+        np.testing.assert_array_equal(T._gather(x, stride, stride, pad, rows, wq),
+                                      padded_taps(x, stride, stride, pad, rows, wq))
+        if ck == 1 or (c < o and k > 1):  # the convs that run on gathered taps: GEMMs on the oracle's taps
             groups = c // ck
             y = kernel.reshape(groups, o // groups, ck * k * k) @ cols.reshape(n, groups, ck * k * k, ho * wo)
             y_now = T.conv2d(Tensor(x), Tensor(kernel), stride, pad).data
