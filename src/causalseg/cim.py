@@ -124,14 +124,6 @@ def _bank_arrays(m: int, n_f: int, seed: int) -> tuple[np.ndarray, np.ndarray, n
     return arrays
 
 
-@functools.lru_cache(maxsize=8)
-def _channels(seed: int, c: int, m: int) -> np.ndarray:
-    """Read-only sorted indices of the m of c channels that ``extract_feature_vars`` pools under ``seed``."""
-    chosen = np.sort(np.random.default_rng(mix64(seed, 2000)).choice(c, size=m, replace=False))
-    chosen.flags.writeable = False
-    return chosen
-
-
 def extract_feature_vars(f5, cfg: CimConfig, seed: int) -> np.ndarray:
     """Pool each channel of the deepest feature map into one scalar per sample.
 
@@ -149,7 +141,7 @@ def extract_feature_vars(f5, cfg: CimConfig, seed: int) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError("extract_feature_vars: non-finite feature")
     pooled = data.mean(axis=(2, 3))  # (n, c)
-    chosen = _channels(seed, c, min(cfg.m_features, c))
+    chosen = np.sort(np.random.default_rng(mix64(seed, 2000)).choice(c, size=min(cfg.m_features, c), replace=False))
     x = pooled[:, chosen] - pooled[:1, chosen]  # a constant column is exactly 0
     x -= x.mean(axis=0)
     sd = x.std(axis=0)

@@ -47,6 +47,8 @@ def _check_pair(op: str, probs: Tensor, target: np.ndarray) -> np.ndarray:
         raise ShapeError(op, probs.shape, detail="probability map must be (N,2,H,W)")
     if target.shape != (probs.shape[0], probs.shape[2], probs.shape[3]):
         raise ShapeError(op, probs.shape, target.shape)
+    if probs.size == 0:
+        raise ShapeError(op, probs.shape, detail="no samples or no pixels")
     if not np.all((target == 0) | (target == 1)):
         raise DomainError(f"{op}: labels must be binary")
     if not np.all(np.isfinite(probs.data)):

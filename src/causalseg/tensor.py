@@ -53,7 +53,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, TapeError
+from .errors import DomainError, NonFiniteError, ShapeError, TapeError
 
 NORM_EPS = 1e-5  # added to the variance in affine_norm
 
@@ -102,15 +102,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
@@ -119,9 +110,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -361,31 +349,18 @@ def _normalize_axes(op: str, axes: Iterable[int], shape: tuple[int, ...]) -> tup
     return tuple(sorted(norm))
 
 
-def _expand_like(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
-    for ax in axes:
-        g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
-
-
-def reduce_sum(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = _normalize_axes("reduce_sum", axes, x.shape)
-    if not axes:
-        return x
-    out, shape = Tensor(x.data.sum(axis=axes)), x.shape
-    return _record(out, (x, lambda g: _expand_like(g, shape, axes).copy()))
+def total_sum(x: Tensor) -> Tensor:
+    out, shape = Tensor(x.data.sum()), x.shape
+    return _record(out, (x, lambda g: np.full(shape, g)))
 
 
 def reduce_mean(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = _normalize_axes("reduce_mean", axes, x.shape)
-    if not axes:
-        return x
-    n, shape = int(np.prod([x.shape[a] for a in axes])), x.shape
+    n, shape = math.prod(x.shape[a] for a in axes), x.shape
+    if n == 0:
+        raise ShapeError("reduce_mean", shape, detail=f"no entries to average over axes {axes}")
     out = Tensor(x.data.mean(axis=axes))
-    return _record(out, (x, lambda g: _expand_like(g / n, shape, axes).copy()))
-
-
-def total_sum(x: Tensor) -> Tensor:
-    return reduce_sum(x, tuple(range(x.data.ndim)))
+    return _record(out, (x, lambda g: np.broadcast_to(np.expand_dims(g / n, axes), shape).copy()))
 
 
 def total_mean(x: Tensor) -> Tensor:
@@ -420,8 +395,6 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
         raise ShapeError("concat", (), detail="no parts")
     rank = parts[0].data.ndim
     (axis,) = _normalize_axes("concat", (axis,), parts[0].shape)
-    if len(parts) == 1:
-        return parts[0]
     for p in parts[1:]:
         if p.data.ndim != rank:
             raise ShapeError("concat", parts[0].shape, p.shape, detail="rank mismatch")
@@ -463,13 +436,19 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Numerically stable softmax along one axis, recorded as one node."""
     (axis,) = _normalize_axes("softmax", (axis,), x.shape)
+    if x.shape[axis] == 0:
+        raise ShapeError("softmax", x.shape, detail=f"axis {axis} has no entries")
     out, grad_x = _softmax(x.data, axis)
     return _record(Tensor(out), (x, grad_x))
 
 
 def _softmax(x: np.ndarray, axis: int) -> tuple[np.ndarray, Callable]:
-    """x's softmax and the map from its gradient to x's, which rounds as the composite exp(x - max) / sum did."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    """x's softmax and the map from its gradient to x's, which rounds as the composite exp(x - max) / sum did.
+    A slice's sum is finite, in [1, extent], exactly when its maximum is: -inf beside a finite entry is legal."""
+    peak = x.max(axis=axis, keepdims=True)
+    if not np.all(np.isfinite(peak)):
+        raise NonFiniteError("softmax: a slice holds NaN or +inf, or only -inf")
+    e = np.exp(x - peak)
     total = e.sum(axis=axis, keepdims=True)
     return e / total, lambda g: (g / total + (-g * e / (total * total)).sum(axis=axis, keepdims=True)) * e
 
@@ -489,6 +468,8 @@ def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = 
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError(op, x.shape, scale.shape, shift.shape, detail=f"need one entry per channel ({c})")
     xshape, cg = x.shape, c // groups
+    if x.size == 0:
+        raise ShapeError(op, x.shape, detail="no entries to normalise")
     size = math.prod(xshape[1:]) // groups  # entries per (sample, group)
     xg = x.data.reshape(n, groups, size)
     xc = xg - xg.mean(axis=2, keepdims=True)
@@ -745,6 +726,8 @@ def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError("upsample_conv2d", kernel.shape, detail="3x3 kernel required")
     if ck != c:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail=f"kernel expects {ck} channels, input has {c}")
+    if h < 1 or w < 1:
+        raise ShapeError("upsample_conv2d", x.shape, detail=f"input extent {h}x{w} non-positive")
     # (O*C, 9) @ (9, 16) -> (O, C, a, b, 2, 2) -> parity kernels (a, b, O) x (C, 2, 2)
     folded = (kernel.data.reshape(o * c, 9) @ _PARITY_FOLD).reshape(o, c, 4, 4).transpose(2, 0, 1, 3)
     y, conv_prep, conv_grad_x, conv_grad_kernel = _conv2d(x.data, folded.reshape(4 * o, c, 2, 2), 1, 1)

@@ -563,18 +563,13 @@ class TestFeatureVars:
 
     @pytest.mark.parametrize("seed,c,m", [(0, 16, 16), (5, 8, 2), (3, 32, 16), (2**40, 7, 1)])
     def test_channel_cache(self, seed, c, m):
-        chosen = cim._channels(seed, c, m)
-        fresh = np.sort(np.random.default_rng(mix64(seed, 2000)).choice(c, size=m, replace=False))
-        assert chosen.tobytes() == fresh.tobytes() and chosen.dtype == fresh.dtype
-        assert not chosen.flags.writeable
-        with pytest.raises(ValueError):
-            chosen[0] = 0
-        # keyed on values: each call with a fresh config hits the cache
+        # the channel choice: the sorted draw of m of c channels under the seed's stream
+        chosen = np.sort(np.random.default_rng(mix64(seed, 2000)).choice(c, size=m, replace=False))
         f5 = rng(36).normal(size=(3, c, 2, 2))
-        hits = cim._channels.cache_info().hits
-        for _ in range(2):
-            extract_feature_vars(f5, CimConfig(m_features=m), seed=seed)
-        assert cim._channels.cache_info().hits == hits + 2
+        x = f5.mean(axis=(2, 3))[:, chosen]
+        for _ in range(2):  # a fresh config each call, as a training step builds
+            out = extract_feature_vars(f5, CimConfig(m_features=m), seed=seed)
+            np.testing.assert_allclose(out, (x - x.mean(axis=0)) / x.std(axis=0), rtol=0, atol=1e-12)
 
     def test_single_sample_rejected(self):
         with pytest.raises(DegenerateInputError):
