@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DegenerateInputError, ShapeError
+from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
 from .tensor import Tensor
 
 MBCONV_EXPANSION = 4
@@ -108,7 +108,10 @@ def simam(x: Tensor, cfg: SimamConfig) -> Tensor:
     if hw < 2:
         raise DegenerateInputError("simam: each channel needs at least 2 spatial positions")
     xd = x.data
-    dev = xd - xd.mean(axis=(2, 3), keepdims=True)
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry, inf - inf or overflow: raised below
+        if not np.isfinite(mean := xd.mean(axis=(2, 3), keepdims=True)).all():
+            raise NonFiniteError("simam: the mean of a channel is NaN or inf")
+    dev = xd - mean
     d = dev * dev
     den = (d.sum(axis=(2, 3), keepdims=True) / (hw - 1) + cfg.lam) * 4.0
     a = 1.0 / (1.0 + np.exp(-(d / den + 0.5)))
@@ -203,14 +206,14 @@ def make_transformer_params(rng, channels: int, image_extent: int, patch: int, h
         raise ConfigError(f"{heads} heads do not divide token width {width}")
     tokens = (image_extent // patch) ** 2
     p = BlockParams(channels, channels, stride=1)
-    p.params["pos"] = _uniform(rng, (tokens, width), width)
+    p.params["pos"] = _uniform(rng, (1, tokens, width), width)
     for name in ("wq", "wk", "wv", "wo"):
         p.params[name] = _uniform(rng, (width, width), width)
     # The token MLP's hidden layer is as wide as a token.
     p.params["mlp_w1"] = _uniform(rng, (width, width), width)
-    p.params["mlp_b1"] = _uniform(rng, (width,), width)
+    p.params["mlp_b1"] = _uniform(rng, (1, width), width)
     p.params["mlp_w2"] = _uniform(rng, (width, width), width)
-    p.params["mlp_b2"] = _uniform(rng, (width,), width)
+    p.params["mlp_b2"] = _uniform(rng, (1, width), width)
     p.params["ln1_scale"] = _ones((width,))
     p.params["ln1_shift"] = _zeros((width,))
     p.params["ln2_scale"] = _ones((width,))
@@ -219,12 +222,12 @@ def make_transformer_params(rng, channels: int, image_extent: int, patch: int, h
 
 
 def _patchify(x: Tensor, patch: int) -> Tensor:
-    """Space-to-depth: (N,C,H,W) -> (N, T, C*p*p) with no learned weights."""
+    """Space-to-depth: (N,C,H,W) -> (N*T, C*p*p), image by image, with no learned weights."""
     n, c, h, w = x.shape
     gh, gw = h // patch, w // patch
     y = T.reshape(x, (n, c, gh, patch, gw, patch))
     y = T.transpose(y, (0, 2, 4, 1, 3, 5))
-    return T.reshape(y, (n, gh * gw, c * patch * patch))
+    return T.reshape(y, (n * gh * gw, c * patch * patch))
 
 
 def _unpatchify(tokens: Tensor, shape: tuple, patch: int) -> Tensor:
@@ -235,19 +238,12 @@ def _unpatchify(tokens: Tensor, shape: tuple, patch: int) -> Tensor:
     return T.reshape(y, (n, c, h, w))
 
 
-def _linear(tokens: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    y = T.matmul(tokens, weight)
-    if bias is not None:
-        y = T.add(y, T.reshape(bias, (1, bias.shape[0])))
-    return y
-
-
 def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int) -> Tensor:
     """One pre-norm encoder layer over non-overlapping patches.
 
     Patchify/unpatchify are pure reshapes, so with all projection weights at
-    zero the block is the identity. Positional embeddings feed only the
-    attention branch.
+    zero the block is the identity. The residual stream is (N*T, D) tokens.
+    Positional embeddings, stored as (1, T, D), feed only the attention branch.
     """
     if x.data.ndim != 4:
         raise ShapeError("transformer_block", x.shape, detail="NCHW tensor required")
@@ -263,23 +259,21 @@ def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int) ->
     dh = width // heads
     scale = 1.0 / float(np.sqrt(dh))
 
-    tokens = _patchify(x, patch)  # (N, T, D)
-    t_count = tokens.shape[1]
-    if params["pos"].shape != (t_count, width):
-        raise ShapeError("transformer_block", params["pos"].shape, (t_count, width),
+    t_count = (h // patch) * (w // patch)
+    if params["pos"].shape != (1, t_count, width):
+        raise ShapeError("transformer_block", params["pos"].shape, (1, t_count, width),
                          detail="positional table built for another token grid")
-    t = T.reshape(tokens, (n * t_count, width))
-    pos = T.reshape(params["pos"], (1, t_count, width))
-    a_in = T.add(T.reshape(layer_norm(t, params["ln1_scale"], params["ln1_shift"]), tokens.shape), pos)
+    t = _patchify(x, patch)  # (N*T, D)
+    a_in = T.add(T.reshape(layer_norm(t, params["ln1_scale"], params["ln1_shift"]), (n, t_count, width)), params["pos"])
     # (N, T, D) -> (N, heads, T, dh); keys come out transposed, (N, heads, dh, T)
     q, k, v = (T.transpose(T.reshape(T.matmul(a_in, params[nm]), (n, t_count, heads, dh)), perm)
                for nm, perm in (("wq", (0, 2, 1, 3)), ("wk", (0, 2, 3, 1)), ("wv", (0, 2, 1, 3))))
     attn = T.softmax(T.matmul(q, k) * scale, axis=3)
     ctx = T.reshape(T.transpose(T.matmul(attn, v), (0, 2, 1, 3)), t.shape)
-    t1 = T.add(t, _linear(ctx, params["wo"]))
+    t1 = T.add(t, T.matmul(ctx, params["wo"]))
     m_in = layer_norm(t1, params["ln2_scale"], params["ln2_shift"])
-    mlp = _linear(T.relu(_linear(m_in, params["mlp_w1"], params["mlp_b1"])),
-                  params["mlp_w2"], params["mlp_b2"])
+    hidden = T.relu(T.add(T.matmul(m_in, params["mlp_w1"]), params["mlp_b1"]))
+    mlp = T.add(T.matmul(hidden, params["mlp_w2"]), params["mlp_b2"])
     return _unpatchify(T.add(t1, mlp), x.shape, patch)
 
 
@@ -290,7 +284,9 @@ def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int) ->
 def make_decoder_params(rng, up_channels: int, skip_channels: int, out_channels: int) -> BlockParams:
     cin = up_channels + skip_channels
     p = BlockParams(cin, out_channels, stride=1)
-    p.params["kernel"] = _uniform(rng, (out_channels, cin, 3, 3), cin * 9)
+    kernel = _uniform(rng, (out_channels, cin, 3, 3), cin * 9).data  # one draw for the concat, split per part
+    p.params["up_kernel"] = Tensor(kernel[:, :up_channels].copy(), requires_grad=True)
+    p.params["skip_kernel"] = Tensor(kernel[:, up_channels:].copy(), requires_grad=True)
     # No conv bias: the group norm's per-channel shift takes its place.
     p.params["scale"] = _ones((out_channels,))
     p.params["shift"] = _zeros((out_channels,))
@@ -301,20 +297,19 @@ def decoder_block(x: Tensor, skip: Tensor, params: BlockParams) -> Tensor:
     """Upsample x2, concatenate the skip, then 3x3 conv + group norm + ReLU.
 
     The conv over the concatenation is the sum of a conv over each part, so
-    the x part runs as one sub-pixel ``upsample_conv2d`` node, four 2x2
-    parity kernels on x at low resolution, and neither the upsampled nor the
-    concatenated tensor is built.
+    each part has its own kernel. The x part runs as one sub-pixel
+    ``upsample_conv2d`` node, four 2x2 parity kernels on x at low resolution,
+    and neither the upsampled nor the concatenated tensor is built.
     """
-    kernel = params["kernel"]
+    up_kernel, skip_kernel = params["up_kernel"], params["skip_kernel"]
     if x.data.ndim != 4 or skip.data.ndim != 4:
         raise ShapeError("decoder_block", x.shape, skip.shape, detail="NCHW tensors required")
     n, cu, h, w = x.shape
     if skip.shape[0] != n or skip.shape[2:] != (2 * h, 2 * w):
         raise ShapeError("decoder_block", x.shape, skip.shape, detail="skip extents must match upsampled input")
-    cin = kernel.shape[1]
-    if cu + skip.shape[1] != cin:
-        raise ShapeError("decoder_block", x.shape, skip.shape, detail=f"kernel expects {cin} channels in total")
-    y = T.add(T.upsample_conv2d(x, T.slice_axis(kernel, 1, 0, cu)),
-              T.conv2d(skip, T.slice_axis(kernel, 1, cu, cin), stride=1, padding=1))
+    if (cu, skip.shape[1]) != (up_kernel.shape[1], skip_kernel.shape[1]):
+        raise ShapeError("decoder_block", x.shape, skip.shape, up_kernel.shape, skip_kernel.shape,
+                         detail="x and skip channels must match up_kernel and skip_kernel")
+    y = T.add(T.upsample_conv2d(x, up_kernel), T.conv2d(skip, skip_kernel, stride=1, padding=1))
     y = group_norm(y, params["scale"], params["shift"], norm_groups(params.out_channels))
     return T.relu(y)

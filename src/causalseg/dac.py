@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import BlockParams, SimamConfig, add_bias, simam, _uniform
+from .blocks import BlockParams, SimamConfig, simam, _uniform
 from .errors import ShapeError
 from .tensor import Tensor
 
@@ -37,7 +37,7 @@ def make_dac_layer(rng: np.random.Generator, c1: int, c2: int, out_channels: int
     fuse = BlockParams(cin, out_channels, stride=1)
     fan = cin * 9
     fuse.params["kernel"] = _uniform(rng, (out_channels, cin, 3, 3), fan)
-    fuse.params["bias"] = _uniform(rng, (out_channels,), fan)
+    fuse.params["bias"] = _uniform(rng, (1, out_channels, 1, 1), fan)  # as the fused NCHW map adds it
     return DacLayer(
         k1=Tensor(np.array(1.0), requires_grad=True),
         k2=Tensor(np.array(1.0), requires_grad=True),
@@ -65,4 +65,4 @@ def dac_fuse(f1: Tensor, f2: Tensor, layer: DacLayer, simam_cfg: SimamConfig) ->
     stacked = concat_stage(f1, f2, layer.k1, layer.k2)
     attended = simam(stacked, simam_cfg)
     out = T.conv2d(attended, layer.fuse["kernel"], stride=1, padding=1)
-    return add_bias(out, layer.fuse["bias"])
+    return T.add(out, layer.fuse["bias"])

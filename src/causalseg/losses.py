@@ -106,6 +106,8 @@ def focal_loss(probs: Tensor, target: np.ndarray, cfg: LossConfig) -> Tensor:
 def total_loss(l_cim: Tensor, l_dice: Tensor, l_fl: Tensor, cfg: LossConfig) -> Tensor:
     """Combined objective: reweighted CE plus lam*dice plus (1-lam)*focal."""
     for name, t in (("l_cim", l_cim), ("l_dice", l_dice), ("l_fl", l_fl)):
+        if t.size != 1:
+            raise ShapeError("total_loss", t.shape, detail=f"{name} must be a scalar")
         if not np.isfinite(t.item()):
             raise NonFiniteError(f"total_loss: {name} is non-finite")
     return l_cim + cfg.lam * l_dice + (1.0 - cfg.lam) * l_fl
@@ -117,8 +119,8 @@ def total_loss(l_cim: Tensor, l_dice: Tensor, l_fl: Tensor, cfg: LossConfig) -> 
 
 def _check_masks(op: str, pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pred, gt = np.asarray(pred), np.asarray(gt)
-    if pred.shape != gt.shape:
-        raise ShapeError(op, pred.shape, gt.shape)
+    if pred.shape != gt.shape or pred.size == 0:
+        raise ShapeError(op, pred.shape, gt.shape, detail="masks must have one shape and hold pixels")
     for name, m in (("pred", pred), ("gt", gt)):
         if not np.all((m == 0) | (m == 1)):
             raise DomainError(f"{op}: {name} mask must be binary")
@@ -142,7 +144,7 @@ def miou(pred: np.ndarray, gt: np.ndarray) -> float:
 
 
 def dsc(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Dice coefficient on the nucleus class, in percent; 100 when both masks are empty."""
+    """Dice coefficient on the nucleus class, in percent; 100 when neither mask marks a nucleus."""
     pred, gt = _check_masks("dsc", pred, gt)
     total = np.count_nonzero(pred) + np.count_nonzero(gt)
     if total == 0:

@@ -472,7 +472,10 @@ def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = 
         raise ShapeError(op, x.shape, detail="no entries to normalise")
     size = math.prod(xshape[1:]) // groups  # entries per (sample, group)
     xg = x.data.reshape(n, groups, size)
-    xc = xg - xg.mean(axis=2, keepdims=True)
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry, inf - inf or overflow: raised below
+        if not np.isfinite(mean := xg.mean(axis=2, keepdims=True)).all():
+            raise NonFiniteError(f"{op}: the mean of a group is NaN or inf")
+    xc = xg - mean
     inv = (np.einsum("ngm,ngm->ng", xc, xc) / size + NORM_EPS) ** -0.5  # 1 / std per (sample, group)
     xc = xc.reshape(n, groups, cg, -1)  # axes: sample, group, channel in group, the rest
     gain = scale.data.reshape(groups, cg)
@@ -606,8 +609,8 @@ def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.nd
     if not is_int(s, padding) or s < 1 or padding < 0:
         raise ShapeError("conv2d", xshape, detail=f"stride {s!r} / padding {padding!r} invalid")
     ho, wo = _conv_out_extent(h, kh, s, padding), _conv_out_extent(w, kw, s, padding)
-    if ho < 1 or wo < 1:
-        raise ShapeError("conv2d", xshape, kshape, detail=f"output extent {ho}x{wo} non-positive")
+    if ho < 1 or wo < 1 or xd.size == 0 or kd.size == 0:
+        raise ShapeError("conv2d", xshape, kshape, detail=f"no entries in x or kernel, or output extent {ho}x{wo}")
     if c < o and kh > 1:  # few inputs per output: one GEMM on the gathered taps
         ckk = c * kh * kw
         wmat = kd.reshape(o, ckk)
@@ -726,8 +729,8 @@ def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError("upsample_conv2d", kernel.shape, detail="3x3 kernel required")
     if ck != c:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail=f"kernel expects {ck} channels, input has {c}")
-    if h < 1 or w < 1:
-        raise ShapeError("upsample_conv2d", x.shape, detail=f"input extent {h}x{w} non-positive")
+    if x.size == 0 or kernel.size == 0:
+        raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail="no entries in x or kernel")
     # (O*C, 9) @ (9, 16) -> (O, C, a, b, 2, 2) -> parity kernels (a, b, O) x (C, 2, 2)
     folded = (kernel.data.reshape(o * c, 9) @ _PARITY_FOLD).reshape(o, c, 4, 4).transpose(2, 0, 1, 3)
     y, conv_prep, conv_grad_x, conv_grad_kernel = _conv2d(x.data, folded.reshape(4 * o, c, 2, 2), 1, 1)

@@ -53,14 +53,14 @@ class TestConcatStage:
 
 
 class TestDacFuse:
-    def test_records_seven_nodes(self):
-        """Two branch scalings, the concat, simam, the fusion conv, the bias reshape and its add."""
+    def test_records_six_nodes(self):
+        """Two branch scalings, the concat, simam, the fusion conv and the bias add."""
         layer = make_dac_layer(rng(11), 2, 3, 4, layer_index=0)
         f1 = Tensor(rng(12).normal(size=(2, 2, 4, 4)), requires_grad=True)
         f2 = Tensor(rng(13).normal(size=(2, 3, 4, 4)), requires_grad=True)
         with Tape() as tape:
             dac_fuse(f1, f2, layer, SimamConfig())
-        assert len(tape) == 7
+        assert len(tape) == 6
 
     def test_output_shape(self):
         layer = make_dac_layer(rng(8), 16, 24, 32, layer_index=1)

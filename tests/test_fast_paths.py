@@ -56,15 +56,16 @@ def oracle_transformer_block(x, params, patch, heads):
     width = c * patch * patch
     dh = width // heads
     scale = 1.0 / float(np.sqrt(dh))
-    tokens_all = B._patchify(x, patch)
-    t_count = tokens_all.shape[1]
+    tokens_all = B._patchify(x, patch)  # (N*T, D), image by image
+    t_count = tokens_all.shape[0] // n
+    pos = T.reshape(params["pos"], (t_count, width))
     outs = []
     for i in range(n):
-        t = T.reshape(T.slice_axis(tokens_all, 0, i, i + 1), (t_count, width))
-        a_in = T.add(oracle_layer_norm(t, params["ln1_scale"], params["ln1_shift"]), params["pos"])
-        q = B._linear(a_in, params["wq"])
-        k = B._linear(a_in, params["wk"])
-        v = B._linear(a_in, params["wv"])
+        t = T.slice_axis(tokens_all, 0, i * t_count, (i + 1) * t_count)
+        a_in = T.add(oracle_layer_norm(t, params["ln1_scale"], params["ln1_shift"]), pos)
+        q = T.matmul(a_in, params["wq"])
+        k = T.matmul(a_in, params["wk"])
+        v = T.matmul(a_in, params["wv"])
         head_ctx = []
         for hd in range(heads):
             lo, hi = hd * dh, (hd + 1) * dh
@@ -73,11 +74,10 @@ def oracle_transformer_block(x, params, patch, heads):
             vh = T.slice_axis(v, 1, lo, hi)
             attn = T.softmax(T.matmul(qh, T.transpose(kh, (1, 0))) * scale, axis=1)
             head_ctx.append(T.matmul(attn, vh))
-        t1 = T.add(t, B._linear(T.concat(head_ctx, axis=1), params["wo"]))
+        t1 = T.add(t, T.matmul(T.concat(head_ctx, axis=1), params["wo"]))
         m_in = oracle_layer_norm(t1, params["ln2_scale"], params["ln2_shift"])
-        mlp = B._linear(T.relu(B._linear(m_in, params["mlp_w1"], params["mlp_b1"])),
-                        params["mlp_w2"], params["mlp_b2"])
-        outs.append(T.reshape(T.add(t1, mlp), (1, t_count, width)))
+        hidden = T.relu(T.add(T.matmul(m_in, params["mlp_w1"]), params["mlp_b1"]))
+        outs.append(T.add(t1, T.add(T.matmul(hidden, params["mlp_w2"]), params["mlp_b2"])))
     tokens_out = T.concat(outs, axis=0) if n > 1 else outs[0]
     return B._unpatchify(tokens_out, x.shape, patch)
 
@@ -142,7 +142,8 @@ def upsample_nearest2x(x):
 
 def oracle_decoder_block(x, skip, params):
     y = T.concat([upsample_nearest2x(x), skip], axis=1)
-    y = T.conv2d(y, params["kernel"], stride=1, padding=1)
+    kernel = T.concat([params["up_kernel"], params["skip_kernel"]], axis=1)  # on the tape: both get gradients
+    y = T.conv2d(y, kernel, stride=1, padding=1)
     y = B.group_norm(y, params["scale"], params["shift"], B.norm_groups(params.out_channels))
     return T.relu(y)
 
@@ -546,6 +547,7 @@ class TestSubPixelDecoder:
         x, skip = g.normal(size=(2, 8, 4, 5)), g.normal(size=(2, 4, 8, 10))
         p = B.make_decoder_params(rng(20), 8, 4, 8)
         y = B.decoder_block(Tensor(x), Tensor(skip), p).data
-        p.params["kernel"] = Tensor(np.flip(p["kernel"].data, axis))
+        for name in ("up_kernel", "skip_kernel"):
+            p.params[name] = Tensor(np.flip(p[name].data, axis))
         y_flipped = B.decoder_block(Tensor(np.flip(x, axis)), Tensor(np.flip(skip, axis)), p).data
         np.testing.assert_allclose(y_flipped, np.flip(y, axis), rtol=1e-12, atol=1e-12 * np.max(np.abs(y)))

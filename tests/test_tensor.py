@@ -624,6 +624,13 @@ class TestGradCheck:
             T.affine_norm(Tensor(np.ones(6)), Tensor(np.ones(6)), Tensor(np.ones(6)), 1)
 
 
+def _poisoned(shape, *values):
+    """Ones of ``shape`` whose first entries are ``values``."""
+    x = np.ones(shape)
+    x.flat[:len(values)] = values
+    return x
+
+
 @pytest.mark.parametrize("call,error,op", [
     (lambda: T.reshape(Tensor(np.ones(4)), (-2, -2)), ShapeError, "reshape"),  # product 4, as the input's
     (lambda: T.reshape(Tensor(np.ones(4)), (-1, -4)), ShapeError, "reshape"),
@@ -669,6 +676,31 @@ class TestGradCheck:
     (lambda: T.reduce_mean(Tensor(np.ones((2, 0, 3))), (1, 2)), ShapeError, "reduce_mean"),
     (lambda: T.upsample_conv2d(Tensor(np.ones((1, 2, 0, 3))), Tensor(np.ones((4, 2, 3, 3)))), ShapeError,
      "upsample_conv2d"),
+    (lambda: T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 0, 0)))), ShapeError, "conv2d"),
+    (lambda: T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((3, 2, 0, 0)))), ShapeError, "conv2d"),
+    (lambda: T.conv2d(Tensor(np.ones((0, 2, 4, 4))), Tensor(np.ones((3, 2, 3, 3))), 1, 1), ShapeError, "conv2d"),
+    (lambda: T.conv2d(Tensor(np.ones((1, 0, 4, 4))), Tensor(np.ones((3, 0, 3, 3))), 1, 1), ShapeError, "conv2d"),
+    (lambda: T.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((0, 2, 3, 3))), 1, 1), ShapeError, "conv2d"),
+    (lambda: T.upsample_conv2d(Tensor(np.ones((0, 2, 4, 4))), Tensor(np.ones((4, 2, 3, 3)))), ShapeError,
+     "upsample_conv2d"),
+    (lambda: T.upsample_conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((0, 2, 3, 3)))), ShapeError,
+     "upsample_conv2d"),
+    (lambda: B.group_norm(Tensor(_poisoned((2, 4, 3, 3), np.nan)), Tensor(np.ones(4)), Tensor(np.zeros(4)), 2),
+     NonFiniteError, "group_norm"),
+    (lambda: B.group_norm(Tensor(_poisoned((2, 4, 3, 3), np.inf)), Tensor(np.ones(4)), Tensor(np.zeros(4)), 2),
+     NonFiniteError, "group_norm"),
+    (lambda: B.group_norm(Tensor(_poisoned((2, 4, 3, 3), np.inf, -np.inf)), Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                          2), NonFiniteError, "group_norm"),
+    (lambda: B.layer_norm(Tensor(_poisoned((3, 4), np.nan)), Tensor(np.ones(4)), Tensor(np.zeros(4))),
+     NonFiniteError, "layer_norm"),
+    (lambda: B.layer_norm(Tensor(_poisoned((3, 4), np.inf)), Tensor(np.ones(4)), Tensor(np.zeros(4))),
+     NonFiniteError, "layer_norm"),
+    (lambda: B.simam(Tensor(_poisoned((2, 4, 3, 3), np.nan)), B.SimamConfig()), NonFiniteError, "simam"),
+    (lambda: B.simam(Tensor(_poisoned((2, 4, 3, 3), np.inf)), B.SimamConfig()), NonFiniteError, "simam"),
+    (lambda: B.simam(Tensor(_poisoned((2, 4, 3, 3), np.inf, -np.inf)), B.SimamConfig()), NonFiniteError, "simam"),
+    (lambda: L.miou(np.zeros((0, 4, 4)), np.zeros((0, 4, 4))), ShapeError, "miou"),
+    (lambda: L.dsc(np.zeros((2, 4, 0)), np.zeros((2, 4, 0))), ShapeError, "dsc"),
+    (lambda: L.total_loss(Tensor(np.ones(2)), Tensor(1.0), Tensor(1.0), L.LossConfig()), ShapeError, "total_loss"),
 ], ids=["reshape-2-2", "reshape-1-4", "reshape-1_4", "reshape-4.9", "mean-axis-np1.0",
         "softmax-axis1.0", "transpose-axis1.0", "concat-axis1.0", "slice-axis1.0", "conv-stride1.5", "conv-stride2.0",
         "conv-pad0.5", "pow-nan", "pow-4-nan", "group-norm-2.0", "affine-norm-np2.0",
@@ -676,7 +708,11 @@ class TestGradCheck:
         "grad-check-eps-nan", "grad-check-eps-inf", "group-norm-empty", "group-norm-no-samples",
         "layer-norm-empty", "layer-norm-no-tokens", "softmax-empty-axis",
         "softmax-nan", "softmax-inf", "ce-no-samples", "ce-no-pixels", "focal-no-samples", "focal-no-pixels",
-        "dice-no-samples", "total-mean-empty", "mean-empty-axes", "upsample-conv-empty"])
+        "dice-no-samples", "total-mean-empty", "mean-empty-axes", "upsample-conv-empty",
+        "conv-kernel-0x0", "conv-kernel-3x2x0x0", "conv-no-samples", "conv-no-channels", "conv-no-outputs",
+        "upsample-conv-no-samples", "upsample-conv-no-outputs", "group-norm-nan", "group-norm-inf",
+        "group-norm-inf-minus-inf", "layer-norm-nan", "layer-norm-inf", "simam-nan", "simam-inf",
+        "simam-inf-minus-inf", "miou-no-samples", "dsc-no-pixels", "total-loss-non-scalar"])
 def test_structured_errors_at_the_boundary(call, error, op):
     with pytest.raises(error) as err:
         call()
