@@ -109,11 +109,11 @@ def simam(x: Tensor, cfg: SimamConfig) -> Tensor:
         raise DegenerateInputError("simam: each channel needs at least 2 spatial positions")
     xd = x.data
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry, inf - inf or overflow: raised below
-        if not np.isfinite(mean := xd.mean(axis=(2, 3), keepdims=True)).all():
-            raise NonFiniteError("simam: the mean of a channel is NaN or inf")
-    dev = xd - mean
-    d = dev * dev
-    den = (d.sum(axis=(2, 3), keepdims=True) / (hw - 1) + cfg.lam) * 4.0
+        dev = xd - xd.mean(axis=(2, 3), keepdims=True)
+        d = dev * dev
+        den = (d.sum(axis=(2, 3), keepdims=True) / (hw - 1) + cfg.lam) * 4.0
+    if not np.isfinite(den).all():  # NaN or inf anywhere in a channel makes its den so
+        raise NonFiniteError("simam: a channel holds NaN or inf, or its variance overflows")
     a = 1.0 / (1.0 + np.exp(-(d / den + 0.5)))
 
     def grad_x(g):

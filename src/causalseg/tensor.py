@@ -47,13 +47,14 @@ Design notes:
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ShapeError, TapeError
+from .errors import NonFiniteError, ShapeError, TapeError
 
 NORM_EPS = 1e-5  # added to the variance in affine_norm
 
@@ -107,9 +108,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -266,41 +264,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, lambda g: _reduce_to(g, sa)), (b, lambda g: _reduce_to(g, sb)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes("sub", a, b)
-    out, sa, sb = Tensor(a.data - b.data), a.shape, b.shape
-    return _record(out, (a, lambda g: _reduce_to(g, sa)), (b, lambda g: _reduce_to(-g, sb)))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes("mul", a, b)
     ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
     out = Tensor(ad * bd)
     return _record(out, (a, lambda g: _reduce_to(g * bd, sa)), (b, lambda g: _reduce_to(g * ad, sb)))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes("div", a, b)
-    if np.any(b.data == 0.0):
-        raise DomainError("div: zero divisor")
-    ad, bd, sa, sb = a.data, b.data, a.shape, b.shape
-    out = Tensor(ad / bd)
-    return _record(out, (a, lambda g: _reduce_to(g / bd, sa)), (b, lambda g: _reduce_to(-g * ad / (bd * bd), sb)))
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    """Elementwise a**p for a fixed scalar exponent."""
-    p = float(exponent)
-    if not math.isfinite(p):
-        raise DomainError(f"pow: non-finite exponent {p}")
-    ad = a.data
-    if p != int(p):
-        if not np.all(ad > 0.0):  # NaN fails this test too
-            raise DomainError("pow: non-integer exponent needs positive, non-NaN base")
-    elif p < 0 and np.any(ad == 0.0):
-        raise DomainError("pow: zero base with negative exponent")
-    out = Tensor(ad ** p)
-    return _record(out, (a, lambda g: g * p * ad ** (p - 1.0) if p != 0.0 else np.zeros_like(ad)))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -322,8 +290,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul", a.shape, b.shape, detail="b must be a matrix or match a's rank")
     if b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError("matmul", a.shape, b.shape, detail="batch axes disagree")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError("matmul", a.shape, b.shape, detail="inner dimensions disagree")
+    if a.shape[-1] != b.shape[-2] or a.shape[-1] == 0:
+        raise ShapeError("matmul", a.shape, b.shape, detail="inner dimensions disagree or are 0")
     ad, bd = a.data, b.data
 
     def grad_b(g):
@@ -338,15 +306,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # reductions
 
 
-def _normalize_axes(op: str, axes: Iterable[int], shape: tuple[int, ...]) -> tuple[int, ...]:
-    rank, norm = len(shape), []
-    for ax in axes:
-        if not is_int(ax) or not -rank <= ax < rank:
-            raise ShapeError(op, shape, detail=f"axis {ax!r} is not an integer in [{-rank}, {rank})")
-        norm.append(ax % rank)
-    if len(set(norm)) != len(norm):
-        raise ShapeError(op, shape, detail="duplicate axis")
-    return tuple(sorted(norm))
+def _normalize_axis(op: str, axis: int, shape: tuple[int, ...]) -> int:
+    rank = len(shape)
+    if not is_int(axis) or not -rank <= axis < rank:
+        raise ShapeError(op, shape, detail=f"axis {axis!r} is not an integer in [{-rank}, {rank})")
+    return axis % rank
 
 
 def total_sum(x: Tensor) -> Tensor:
@@ -354,17 +318,11 @@ def total_sum(x: Tensor) -> Tensor:
     return _record(out, (x, lambda g: np.full(shape, g)))
 
 
-def reduce_mean(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = _normalize_axes("reduce_mean", axes, x.shape)
-    n, shape = math.prod(x.shape[a] for a in axes), x.shape
-    if n == 0:
-        raise ShapeError("reduce_mean", shape, detail=f"no entries to average over axes {axes}")
-    out = Tensor(x.data.mean(axis=axes))
-    return _record(out, (x, lambda g: np.broadcast_to(np.expand_dims(g / n, axes), shape).copy()))
-
-
 def total_mean(x: Tensor) -> Tensor:
-    return reduce_mean(x, tuple(range(x.data.ndim)))
+    if x.size == 0:
+        raise ShapeError("total_mean", x.shape, detail="no entries to average")
+    out, shape, n = Tensor(x.data.mean()), x.shape, x.size
+    return _record(out, (x, lambda g: np.full(shape, g / n)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +352,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     if len(parts) == 0:
         raise ShapeError("concat", (), detail="no parts")
     rank = parts[0].data.ndim
-    (axis,) = _normalize_axes("concat", (axis,), parts[0].shape)
+    axis = _normalize_axis("concat", axis, parts[0].shape)
     for p in parts[1:]:
         if p.data.ndim != rank:
             raise ShapeError("concat", parts[0].shape, p.shape, detail="rank mismatch")
@@ -413,29 +371,13 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _record(out, *((p, grad_part(i)) for i, p in enumerate(parts)))
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    (axis,) = _normalize_axes("slice_axis", (axis,), x.shape)
-    if not is_int(start, stop) or not 0 <= start < stop <= x.shape[axis]:
-        raise ShapeError("slice_axis", x.shape, detail=f"bounds [{start!r},{stop!r}) invalid on axis {axis}")
-    slicer = [slice(None)] * x.data.ndim
-    slicer[axis] = slice(start, stop)
-    out, xshape = Tensor(x.data[tuple(slicer)].copy()), x.shape
-
-    def back(g):
-        gx = np.zeros(xshape)
-        gx[tuple(slicer)] = g
-        return gx
-
-    return _record(out, (x, back))
-
-
 # ---------------------------------------------------------------------------
 # normalisation
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Numerically stable softmax along one axis, recorded as one node."""
-    (axis,) = _normalize_axes("softmax", (axis,), x.shape)
+    axis = _normalize_axis("softmax", axis, x.shape)
     if x.shape[axis] == 0:
         raise ShapeError("softmax", x.shape, detail=f"axis {axis} has no entries")
     out, grad_x = _softmax(x.data, axis)
@@ -582,6 +524,19 @@ def _scatter(cols: np.ndarray, xshape: tuple, k: int, stride: int, pad: int) -> 
     return gx
 
 
+@contextlib.contextmanager
+def _finite(op: str, *shapes: tuple[int, ...]):
+    """Raise an invalid value or an overflow in numpy arithmetic inside the block,
+    such as inf times a zero weight, as a ``NonFiniteError`` naming ``op`` and the
+    input shapes. It costs no pass over the data: a NaN input sets no flag and passes,
+    and so does a flag set in another BLAS thread than the caller's."""
+    try:
+        with np.errstate(invalid="raise", over="raise"):
+            yield
+    except FloatingPointError as err:
+        raise NonFiniteError(f"{op}: {err} for inputs {' and '.join(map(str, shapes))}") from None
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with a kernel (no kernel flip).
 
@@ -589,7 +544,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     output channel i filters input channel i alone. Each kernel tap reads
     windows gathered from x or a view of x's phase planes (see the design notes).
     """
-    y, prep, grad_x, grad_kernel = _conv2d(x.data, kernel.data, stride, padding)
+    with _finite("conv2d", x.shape, kernel.shape):
+        y, prep, grad_x, grad_kernel = _conv2d(x.data, kernel.data, stride, padding)
     return _record(Tensor(np.ascontiguousarray(y)), (x, grad_x), (kernel, grad_kernel), prep=prep)
 
 
@@ -731,9 +687,10 @@ def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail=f"kernel expects {ck} channels, input has {c}")
     if x.size == 0 or kernel.size == 0:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail="no entries in x or kernel")
-    # (O*C, 9) @ (9, 16) -> (O, C, a, b, 2, 2) -> parity kernels (a, b, O) x (C, 2, 2)
-    folded = (kernel.data.reshape(o * c, 9) @ _PARITY_FOLD).reshape(o, c, 4, 4).transpose(2, 0, 1, 3)
-    y, conv_prep, conv_grad_x, conv_grad_kernel = _conv2d(x.data, folded.reshape(4 * o, c, 2, 2), 1, 1)
+    with _finite("upsample_conv2d", x.shape, kernel.shape):
+        # (O*C, 9) @ (9, 16) -> (O, C, a, b, 2, 2) -> parity kernels (a, b, O) x (C, 2, 2)
+        folded = (kernel.data.reshape(o * c, 9) @ _PARITY_FOLD).reshape(o, c, 4, 4).transpose(2, 0, 1, 3)
+        y, conv_prep, conv_grad_x, conv_grad_kernel = _conv2d(x.data, folded.reshape(4 * o, c, 2, 2), 1, 1)
     grids, out = y.reshape(n, 2, 2, o, h + 1, w + 1), np.empty((n, o, h, 2, w, 2))
     for a, b in np.ndindex(2, 2):  # parity (a, b) is the crop of its grid from row a, column b
         out[:, :, :, a, :, b] = grids[:, a, b, :, a:a + h, b:b + w]

@@ -356,7 +356,8 @@ class TestDecoder:
 
 
 def test_no_node_reshapes_or_slices_a_parameter(monkeypatch):
-    """Every block parameter is stored in the layout its op reads."""
+    """Every block parameter is stored in the layout its op reads. The library
+    has no slicing op, so a reshape is the only re-layout to watch for."""
     received = []
 
     def spy(op):
@@ -365,8 +366,7 @@ def test_no_node_reshapes_or_slices_a_parameter(monkeypatch):
             return op(x, *args)
         return wrapped
 
-    for name in ("reshape", "slice_axis"):
-        monkeypatch.setattr(T, name, spy(getattr(T, name)))
+    monkeypatch.setattr(T, "reshape", spy(T.reshape))
     down, mb = B.make_cnn_down_params(rng(50), 3, 4), B.make_mbconv_params(rng(51), 3, 4, 2)
     layer = make_dac_layer(rng(52), 4, 4, 4, 0)
     tf, dec = B.make_transformer_params(rng(53), 4, 4, 2, 2), B.make_decoder_params(rng(54), 4, 3, 4)

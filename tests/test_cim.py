@@ -18,6 +18,7 @@ from causalseg.cim import (
 from causalseg.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError, SimplexError
 from causalseg.seeding import mix64
 from causalseg.tensor import Tape, Tensor, backward
+import composite as C
 from gradcheck import grad_check
 
 
@@ -60,8 +61,8 @@ def composite_objective(lifted, w):
     owner = np.repeat(np.arange(m), [u.shape[1] for u in lifted])
     off_block = Tensor((owner[:, None] != owner[None, :]).astype(np.float64))
     wz = T.mul(Tensor(z), T.reshape(w, (n, 1)))
-    centred = T.sub(wz, T.reshape(T.reduce_mean(wz, (0,)), (1, d)))
-    s = T.mul(T.matmul(T.transpose(centred, (1, 0)), centred) / float(n - 1), off_block)
+    centred = C.sub(wz, T.reshape(C.mean(wz, (0,)), (1, d)))
+    s = T.mul(C.div(T.matmul(T.transpose(centred, (1, 0)), centred), Tensor(float(n - 1))), off_block)
     return T.total_sum(T.mul(s, s)) * 0.5
 
 

@@ -21,6 +21,7 @@ from causalseg import losses as L
 from causalseg import tensor as T
 from causalseg.errors import ShapeError
 from causalseg.tensor import Tape, Tensor, backward
+import composite as C
 from gradcheck import grad_check
 
 
@@ -35,19 +36,19 @@ def rng(seed):
 def oracle_group_norm(x, scale, shift, groups):
     n, c, h, w = x.shape
     xg = T.reshape(x, (n, groups, c // groups, h, w))
-    mu = T.reduce_mean(xg, (2, 3, 4))
-    centered = T.sub(xg, T.reshape(mu, (n, groups, 1, 1, 1)))
-    var = T.reduce_mean(T.mul(centered, centered), (2, 3, 4))
-    std = T.reshape(T.power(var + T.NORM_EPS, 0.5), (n, groups, 1, 1, 1))
-    normed = T.reshape(T.div(centered, std), (n, c, h, w))
+    mu = C.mean(xg, (2, 3, 4))
+    centered = C.sub(xg, T.reshape(mu, (n, groups, 1, 1, 1)))
+    var = C.mean(T.mul(centered, centered), (2, 3, 4))
+    std = T.reshape(C.power(var + T.NORM_EPS, 0.5), (n, groups, 1, 1, 1))
+    normed = T.reshape(C.div(centered, std), (n, c, h, w))
     return T.add(T.mul(normed, T.reshape(scale, (1, c, 1, 1))), T.reshape(shift, (1, c, 1, 1)))
 
 
 def oracle_layer_norm(tokens, scale, shift):
     t, d = tokens.shape
-    centered = T.sub(tokens, T.reshape(T.reduce_mean(tokens, (1,)), (t, 1)))
-    var = T.reduce_mean(T.mul(centered, centered), (1,))
-    normed = T.div(centered, T.reshape(T.power(var + T.NORM_EPS, 0.5), (t, 1)))
+    centered = C.sub(tokens, T.reshape(C.mean(tokens, (1,)), (t, 1)))
+    var = C.mean(T.mul(centered, centered), (1,))
+    normed = C.div(centered, T.reshape(C.power(var + T.NORM_EPS, 0.5), (t, 1)))
     return T.add(T.mul(normed, T.reshape(scale, (1, d))), T.reshape(shift, (1, d)))
 
 
@@ -61,7 +62,7 @@ def oracle_transformer_block(x, params, patch, heads):
     pos = T.reshape(params["pos"], (t_count, width))
     outs = []
     for i in range(n):
-        t = T.slice_axis(tokens_all, 0, i * t_count, (i + 1) * t_count)
+        t = C.slice_axis(tokens_all, 0, i * t_count, (i + 1) * t_count)
         a_in = T.add(oracle_layer_norm(t, params["ln1_scale"], params["ln1_shift"]), pos)
         q = T.matmul(a_in, params["wq"])
         k = T.matmul(a_in, params["wk"])
@@ -69,9 +70,9 @@ def oracle_transformer_block(x, params, patch, heads):
         head_ctx = []
         for hd in range(heads):
             lo, hi = hd * dh, (hd + 1) * dh
-            qh = T.slice_axis(q, 1, lo, hi)
-            kh = T.slice_axis(k, 1, lo, hi)
-            vh = T.slice_axis(v, 1, lo, hi)
+            qh = C.slice_axis(q, 1, lo, hi)
+            kh = C.slice_axis(k, 1, lo, hi)
+            vh = C.slice_axis(v, 1, lo, hi)
             attn = T.softmax(T.matmul(qh, T.transpose(kh, (1, 0))) * scale, axis=1)
             head_ctx.append(T.matmul(attn, vh))
         t1 = T.add(t, T.matmul(T.concat(head_ctx, axis=1), params["wo"]))
