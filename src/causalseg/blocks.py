@@ -1,8 +1,8 @@
 """Network building blocks: downsampling branches, attention, decoder.
 
 Every block is a pure function of (input, parameters). Parameters live in a
-``BlockParams`` bag whose tensors all require gradients; builders seed them
-from a numpy Generator so construction is reproducible.
+``BlockParams`` bag of tensors that require gradients, seeded by the builders
+from a numpy Generator; a block reads its channel counts from their shapes.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ class SimamConfig:
 
 @dataclass
 class BlockParams:
-    """Named learnable tensors of one block plus its channel geometry."""
+    """Named learnable tensors of one block; its channel counts are their shapes."""
 
-    in_channels: int
-    out_channels: int
     stride: int = 1
     params: dict[str, Tensor] = field(default_factory=dict)
 
@@ -71,10 +69,11 @@ def norm_groups(channels: int) -> int:
     return 1
 
 
-def group_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int) -> Tensor:
+def group_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+    """Group norm of an NCHW tensor over ``norm_groups(C)`` groups of its C channels."""
     if x.data.ndim != 4:
         raise ShapeError("group_norm", x.shape, detail="NCHW tensor required")
-    return T.affine_norm(x, scale, shift, groups, op="group_norm")
+    return T.affine_norm(x, scale, shift, norm_groups(x.shape[1]), op="group_norm")
 
 
 def layer_norm(tokens: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
@@ -112,13 +111,14 @@ def simam(x: Tensor, cfg: SimamConfig) -> Tensor:
         dev = xd - xd.mean(axis=(2, 3), keepdims=True)
         d = dev * dev
         den = (d.sum(axis=(2, 3), keepdims=True) / (hw - 1) + cfg.lam) * 4.0
-    if not np.isfinite(den).all():  # NaN or inf anywhere in a channel makes its den so
-        raise NonFiniteError("simam: a channel holds NaN or inf, or its variance overflows")
+        den2 = den * den  # the backward divides by it
+    if not np.isfinite(den2).all():  # NaN or inf anywhere in a channel makes its den2 so
+        raise NonFiniteError("simam: a channel holds NaN or inf, or its variance is too large to differentiate")
     a = 1.0 / (1.0 + np.exp(-(d / den + 0.5)))
 
     def grad_x(g):
         ge = g * xd * a * (1.0 - a)  # the energy's gradient
-        gdev = (ge / den + (-ge * d / (den * den)).sum(axis=(2, 3), keepdims=True) * 4.0 / (hw - 1)) * dev
+        gdev = (ge / den + (-ge * d / den2).sum(axis=(2, 3), keepdims=True) * 4.0 / (hw - 1)) * dev
         gdev += gdev  # d = dev * dev: one term per factor
         return g * a + gdev + (-gdev).sum(axis=(2, 3), keepdims=True) / hw
 
@@ -130,7 +130,7 @@ def simam(x: Tensor, cfg: SimamConfig) -> Tensor:
 
 
 def make_cnn_down_params(rng, in_channels: int, out_channels: int) -> BlockParams:
-    p = BlockParams(in_channels, out_channels, stride=2)
+    p = BlockParams(stride=2)
     p.params["kernel"] = _uniform(rng, (out_channels, in_channels, 3, 3), in_channels * 9)
     # No conv bias: the group norm's per-channel shift takes its place.
     p.params["scale"] = _ones((out_channels,))
@@ -140,19 +140,20 @@ def make_cnn_down_params(rng, in_channels: int, out_channels: int) -> BlockParam
 
 def cnn_down(x: Tensor, params: BlockParams) -> Tensor:
     """3x3 stride-2 convolution (pad 1) followed by group norm and ReLU."""
-    if x.data.ndim != 4:
-        raise ShapeError("cnn_down", x.shape, detail="NCHW tensor required")
+    kernel = params["kernel"]
+    if x.data.ndim != 4 or x.shape[1] != kernel.shape[1]:
+        raise ShapeError("cnn_down", x.shape, kernel.shape, detail="NCHW tensor with the kernel's channels required")
     h, w = x.shape[2:]
     if h < 2 or w < 2 or h % 2 or w % 2:
         raise ShapeError("cnn_down", x.shape, detail="spatial extents must be even and >= 2")
-    y = T.conv2d(x, params["kernel"], stride=2, padding=1)
-    y = group_norm(y, params["scale"], params["shift"], norm_groups(params.out_channels))
+    y = T.conv2d(x, kernel, stride=2, padding=1)
+    y = group_norm(y, params["scale"], params["shift"])
     return T.relu(y)
 
 
 def make_mbconv_params(rng, in_channels: int, out_channels: int, stride: int) -> BlockParams:
     hidden = MBCONV_EXPANSION * in_channels
-    p = BlockParams(in_channels, out_channels, stride=stride)
+    p = BlockParams(stride=stride)
     p.params["expand_kernel"] = _uniform(rng, (hidden, in_channels, 1, 1), in_channels)
     p.params["expand_scale"] = _ones((hidden,))
     p.params["expand_shift"] = _zeros((hidden,))
@@ -173,21 +174,18 @@ def mbconv(x: Tensor, params: BlockParams, stride: int) -> Tensor:
     """
     if stride not in (1, 2):
         raise ConfigError(f"mbconv stride must be 1 or 2, got {stride}")
-    if x.data.ndim != 4 or x.shape[1] != params.in_channels:
-        raise ShapeError("mbconv", x.shape, detail=f"NCHW tensor with {params.in_channels} channels required")
-    hidden = MBCONV_EXPANSION * params.in_channels
-    if params["expand_kernel"].shape != (hidden, params.in_channels, 1, 1):
-        raise ShapeError("mbconv", params["expand_kernel"].shape,
-                         (hidden, params.in_channels, 1, 1), detail="expand kernel")
+    cin = params["expand_kernel"].shape[1]
+    if x.data.ndim != 4 or x.shape[1] != cin:
+        raise ShapeError("mbconv", x.shape, detail=f"NCHW tensor with {cin} channels required")
     y = T.conv2d(x, params["expand_kernel"])
-    y = group_norm(y, params["expand_scale"], params["expand_shift"], norm_groups(hidden))
+    y = group_norm(y, params["expand_scale"], params["expand_shift"])
     y = T.relu(y)
     y = T.conv2d(y, params["dw_kernel"], stride=stride, padding=1)
-    y = group_norm(y, params["dw_scale"], params["dw_shift"], norm_groups(hidden))
+    y = group_norm(y, params["dw_scale"], params["dw_shift"])
     y = T.relu(y)
     y = T.conv2d(y, params["project_kernel"])
-    y = group_norm(y, params["project_scale"], params["project_shift"], norm_groups(params.out_channels))
-    if stride == 1 and params.in_channels == params.out_channels:
+    y = group_norm(y, params["project_scale"], params["project_shift"])
+    if stride == 1 and y.shape[1] == cin:
         y = T.add(y, x)
     return y
 
@@ -205,7 +203,7 @@ def make_transformer_params(rng, channels: int, image_extent: int, patch: int, h
     if width % heads != 0:
         raise ConfigError(f"{heads} heads do not divide token width {width}")
     tokens = (image_extent // patch) ** 2
-    p = BlockParams(channels, channels, stride=1)
+    p = BlockParams()
     p.params["pos"] = _uniform(rng, (1, tokens, width), width)
     for name in ("wq", "wk", "wv", "wo"):
         p.params[name] = _uniform(rng, (width, width), width)
@@ -283,7 +281,7 @@ def transformer_block(x: Tensor, params: BlockParams, patch: int, heads: int) ->
 
 def make_decoder_params(rng, up_channels: int, skip_channels: int, out_channels: int) -> BlockParams:
     cin = up_channels + skip_channels
-    p = BlockParams(cin, out_channels, stride=1)
+    p = BlockParams()
     kernel = _uniform(rng, (out_channels, cin, 3, 3), cin * 9).data  # one draw for the concat, split per part
     p.params["up_kernel"] = Tensor(kernel[:, :up_channels].copy(), requires_grad=True)
     p.params["skip_kernel"] = Tensor(kernel[:, up_channels:].copy(), requires_grad=True)
@@ -311,5 +309,5 @@ def decoder_block(x: Tensor, skip: Tensor, params: BlockParams) -> Tensor:
         raise ShapeError("decoder_block", x.shape, skip.shape, up_kernel.shape, skip_kernel.shape,
                          detail="x and skip channels must match up_kernel and skip_kernel")
     y = T.add(T.upsample_conv2d(x, up_kernel), T.conv2d(skip, skip_kernel, stride=1, padding=1))
-    y = group_norm(y, params["scale"], params["shift"], norm_groups(params.out_channels))
+    y = group_norm(y, params["scale"], params["shift"])
     return T.relu(y)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from causalseg import blocks as B
 from causalseg import tensor as T
-from causalseg.errors import ConfigError, DegenerateInputError, ShapeError
+from causalseg.errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
 from causalseg.blocks import BlockParams, SimamConfig
 from causalseg.dac import dac_fuse, make_dac_layer
 from causalseg.tensor import Tensor
@@ -98,6 +100,30 @@ class TestSimam:
         assert np.all(np.isfinite(coeff)) and np.all(coeff > 0.0) and np.all(coeff < 1.0)
         assert np.all(np.isfinite(grad))
 
+    def test_forward_rejects_what_backward_cannot_differentiate(self):
+        """One channel scaled by 1e60 to 1e160, under warnings as errors: the forward
+        raises NonFiniteError, or the backward gives a finite gradient. The backward
+        divides by den squared, which overflows from about 1e77 on."""
+        g = rng(9)
+        base, cotangent = g.normal(size=(1, 2, 4, 4)), g.normal(size=(1, 2, 4, 4))
+        outcomes = []
+        for exponent in range(60, 161):
+            x = base.copy()
+            x[0, 0] *= 10.0 ** exponent
+            leaf = Tensor(x, requires_grad=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    with T.Tape() as tape:
+                        loss = T.total_sum(T.mul(B.simam(leaf, SimamConfig()), Tensor(cotangent)))
+                except NonFiniteError:
+                    outcomes.append("rejected")
+                    continue
+                grad = T.backward(loss, tape)[leaf]
+            assert np.all(np.isfinite(grad)), exponent
+            outcomes.append("finite")
+        assert outcomes[0] == "finite" and outcomes[-1] == "rejected"
+
 
 class TestGroupNorm:
     def test_norm_groups_divides(self):
@@ -108,13 +134,13 @@ class TestGroupNorm:
 
     def test_zero_variance_is_safe(self):
         x = Tensor(np.full((1, 4, 2, 2), 5.0))
-        out = B.group_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), 2)
+        out = B.group_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
     def test_norms_record_one_node(self):
         x = Tensor(rng(6).normal(size=(2, 8, 4, 4)), requires_grad=True)
         with T.Tape() as tape:
-            B.group_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)), 4)
+            B.group_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
         assert len(tape) == 1
         tokens = Tensor(rng(7).normal(size=(5, 8)), requires_grad=True)
         with T.Tape() as tape:
@@ -122,21 +148,26 @@ class TestGroupNorm:
         assert len(tape) == 1
 
     def test_normalizes_per_group(self):
-        x = Tensor(rng(5).normal(size=(2, 8, 4, 4)))
-        out = B.group_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)), 4).data
-        grouped = out.reshape(2, 4, 2, 4, 4)
+        # 12 channels: norm_groups picks 6 groups of 2, each normalised as one.
+        x = Tensor(rng(5).normal(size=(2, 12, 4, 4)))
+        out = B.group_norm(x, Tensor(np.ones(12)), Tensor(np.zeros(12))).data
+        grouped = out.reshape(2, 6, 2, 4, 4)
         np.testing.assert_allclose(grouped.mean(axis=(2, 3, 4)), 0.0, atol=1e-9)
+        np.testing.assert_allclose(grouped.var(axis=(2, 3, 4)), 1.0, rtol=1e-3)
+        assert not np.allclose(out.reshape(2, 12, 16).mean(axis=2), 0.0, atol=1e-3)  # not one group per channel
 
     @pytest.mark.parametrize("op,x_shape,width,groups", [
         ("group_norm", (2, 6, 3, 3), 6, 4),   # 4 groups do not divide 6 channels
-        ("group_norm", (2, 6, 3, 3), 5, 3),   # 5-entry scale and shift on 6 channels
-        ("layer_norm", (3, 4), 5, 1),
+        ("group_norm", (2, 6, 3, 3), 5, None),   # 5-entry scale and shift on 6 channels
+        ("layer_norm", (3, 4), 5, None),
     ], ids=["group_norm-groups", "group_norm-width", "layer_norm-width"])
     def test_width_and_group_errors_name_the_norm(self, op, x_shape, width, groups):
         x, scale, shift = Tensor(np.ones(x_shape)), Tensor(np.ones(width)), Tensor(np.zeros(width))
         with pytest.raises(ShapeError) as err:
-            if op == "group_norm":
-                B.group_norm(x, scale, shift, groups)
+            if groups is not None:  # a count group_norm would not choose: affine_norm takes it
+                T.affine_norm(x, scale, shift, groups, op=op)
+            elif op == "group_norm":
+                B.group_norm(x, scale, shift)
             else:
                 B.layer_norm(x, scale, shift)
         assert err.value.op == op
@@ -149,8 +180,8 @@ class TestGroupNorm:
         g = rng(12)
         x, scale, shift = g.normal(size=(2, 8, 4, 4)), Tensor(g.normal(size=8)), Tensor(g.normal(size=8))
         bias = magnitude * g.normal(size=(1, 8, 1, 1))
-        expected = B.group_norm(Tensor(x), scale, shift, 8).data
-        out = B.group_norm(Tensor(x + bias), scale, shift, 8).data
+        expected = B.group_norm(Tensor(x), scale, shift).data
+        out = B.group_norm(Tensor(x + bias), scale, shift).data
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
@@ -189,11 +220,13 @@ class TestCnnDown:
             B.cnn_down(Tensor(np.zeros((1, 2, 7, 8))), p)
 
     def test_channel_mismatch_rejected(self):
-        # 6 channels into a 3 -> 8 kernel: conv2d infers no group count from it.
+        # 6 or 2 channels into a 3 -> 8 kernel: the block names itself and both shapes.
         p = B.make_cnn_down_params(rng(9), 3, 8)
-        with pytest.raises(ShapeError) as err:
-            B.cnn_down(Tensor(np.zeros((1, 6, 8, 8))), p)
-        assert err.value.op == "conv2d"
+        for cin in (6, 2):
+            with pytest.raises(ShapeError) as err:
+                B.cnn_down(Tensor(np.zeros((1, cin, 8, 8))), p)
+            assert err.value.op == "cnn_down"
+            assert err.value.shapes == ((1, cin, 8, 8), (8, 3, 3, 3))
 
     def test_grad_check(self):
         p = B.make_cnn_down_params(rng(10), 2, 4)
@@ -240,8 +273,7 @@ class TestMbconv:
 
 
 def _swap(params: BlockParams, name: str, replacement: Tensor) -> BlockParams:
-    clone = BlockParams(params.in_channels, params.out_channels, params.stride,
-                        dict(params.tensors()))
+    clone = BlockParams(params.stride, dict(params.tensors()))
     clone.params[name] = replacement
     return clone
 
@@ -344,8 +376,9 @@ class TestDecoder:
     ])
     def test_channel_and_rank_mismatch_rejected(self, x_shape, skip_shape):
         p = B.make_decoder_params(rng(34), 4, 4, 4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError) as err:
             B.decoder_block(Tensor(np.zeros(x_shape)), Tensor(np.zeros(skip_shape)), p)
+        assert err.value.op == "decoder_block"
 
     def test_grad_flows_to_both_inputs(self):
         p = B.make_decoder_params(rng(35), 2, 2, 2)
@@ -378,6 +411,29 @@ def test_no_node_reshapes_or_slices_a_parameter(monkeypatch):
               *tf.tensors().values(), *dec.tensors().values()]
     assert received  # the transformer's patchify reshapes its input
     assert not [p for p in params if any(r is p for r in received)]
+
+
+@pytest.mark.parametrize("move", [lambda a: np.flip(a, 3), lambda a: np.rot90(a, 1, axes=(2, 3))],
+                         ids=["flip", "rot90"])
+@pytest.mark.parametrize("block", ["mbconv", "dac_fuse"])
+def test_stride1_blocks_commute_with_flip_and_rotation(block, move):
+    """Metamorphic: at stride 1, moving a square input by a horizontal flip or a 90
+    degree rotation, and the 3x3 kernel the same way, moves the output alike. The 1x1
+    convs, group norms, SimAM and the residual act per position or over whole planes."""
+    g = rng(60)
+    if block == "mbconv":
+        p = B.make_mbconv_params(rng(61), 4, 4, stride=1)
+        x = g.normal(size=(2, 4, 6, 6))
+        y = B.mbconv(Tensor(x), p, stride=1).data
+        p.params["dw_kernel"] = Tensor(move(p["dw_kernel"].data))
+        y_moved = B.mbconv(Tensor(move(x)), p, stride=1).data
+    else:
+        layer = make_dac_layer(rng(62), 2, 3, 4, layer_index=0)
+        f1, f2 = g.normal(size=(2, 2, 6, 6)), g.normal(size=(2, 3, 6, 6))
+        y = dac_fuse(Tensor(f1), Tensor(f2), layer, SimamConfig()).data
+        layer.kernel = Tensor(move(layer.kernel.data))
+        y_moved = dac_fuse(Tensor(move(f1)), Tensor(move(f2)), layer, SimamConfig()).data
+    np.testing.assert_allclose(y_moved, move(y), rtol=1e-12, atol=1e-12 * np.max(np.abs(y)))
 
 
 @given(st.integers(1, 2), st.sampled_from([4, 8]), st.integers(2, 6), st.integers(2, 6))

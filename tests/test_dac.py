@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from causalseg import tensor as T
-from causalseg.blocks import SimamConfig
-from causalseg.dac import concat_stage, dac_fuse, make_dac_layer
+from causalseg.blocks import SimamConfig, _uniform
+from causalseg.dac import DacLayer, concat_stage, dac_fuse, make_dac_layer
 from causalseg.errors import ShapeError
 from causalseg.tensor import Tensor, Tape, backward
 from gradcheck import grad_check
@@ -88,16 +88,10 @@ class TestDacFuse:
         cfg = SimamConfig()
 
         def f_k1(t):
-            swapped = make_dac_layer(rng(14), 2, 2, 2, 1)
-            swapped.fuse = layer.fuse
-            swapped.k1, swapped.k2 = t, layer.k2
-            return T.total_sum(dac_fuse(f1, f2, swapped, cfg))
+            return T.total_sum(dac_fuse(f1, f2, DacLayer(t, layer.k2, layer.kernel, layer.bias, 1), cfg))
 
         def f_k2(t):
-            swapped = make_dac_layer(rng(14), 2, 2, 2, 1)
-            swapped.fuse = layer.fuse
-            swapped.k1, swapped.k2 = layer.k1, t
-            return T.total_sum(dac_fuse(f1, f2, swapped, cfg))
+            return T.total_sum(dac_fuse(f1, f2, DacLayer(layer.k1, t, layer.kernel, layer.bias, 1), cfg))
 
         assert grad_check(f_k1, layer.k1) < 1e-4
         assert grad_check(f_k2, layer.k2) < 1e-4
@@ -109,7 +103,7 @@ class TestDacFuse:
         with Tape() as tape:
             loss = T.total_sum(dac_fuse(f1, f2, layer, SimamConfig()))
         grads = backward(loss, tape)
-        for t in (f1, f2, layer.k1, layer.k2, layer.fuse["kernel"], layer.fuse["bias"]):
+        for t in (f1, f2, layer.k1, layer.k2, layer.kernel, layer.bias):
             assert t in grads
             assert np.any(grads[t] != 0.0)
 
@@ -118,6 +112,27 @@ class TestDacFuse:
         f1 = Tensor(rng(21).normal(size=(3, 3, 6, 10)))
         f2 = Tensor(rng(22).normal(size=(3, 5, 6, 10)))
         assert dac_fuse(f1, f2, layer, SimamConfig()).shape == (3, 6, 6, 10)
+
+    @pytest.mark.parametrize("c1,c2", [(3, 3), (2, 2), (4, 3)])
+    def test_channel_mismatch_rejected(self, c1, c2):
+        # Branches of c1 + c2 channels into a kernel built for 2 + 3 = 5.
+        layer = make_dac_layer(rng(24), 2, 3, 4, layer_index=0)
+        f1, f2 = Tensor(np.zeros((1, c1, 4, 4))), Tensor(np.zeros((1, c2, 4, 4)))
+        with pytest.raises(ShapeError) as err:
+            dac_fuse(f1, f2, layer, SimamConfig())
+        assert err.value.op == "dac_fuse"
+        assert err.value.shapes == ((1, c1, 4, 4), (1, c2, 4, 4), (4, 5, 3, 3))
+
+    def test_parameter_order_and_draws(self):
+        """The model's parameter list, the training hash and the benchmark's
+        gradient draws read the tensors in this order, drawn in this order."""
+        layer = make_dac_layer(rng(25), 2, 3, 4, layer_index=0)
+        assert list(layer.tensors()) == ["k1", "k2", "kernel", "bias"]
+        g = rng(25)
+        kernel, bias = _uniform(g, (4, 5, 3, 3), 45), _uniform(g, (1, 4, 1, 1), 45)
+        np.testing.assert_array_equal(layer.kernel.data, kernel.data)
+        np.testing.assert_array_equal(layer.bias.data, bias.data)
+        assert all(t.requires_grad for t in layer.tensors().values())
 
     def test_out_of_place_update_keeps_a_0d_array(self):
         layer = make_dac_layer(rng(23), 2, 2, 2, layer_index=0)

@@ -360,7 +360,7 @@ class TestBackward:
             k = Tensor(g.normal(size=(4, 3, 3, 3)), requires_grad=True)
             scale, shift = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
             with Tape() as tape:
-                h = T.relu(B.group_norm(T.conv2d(x, k, 1, 1), scale, shift, 2))
+                h = T.relu(B.group_norm(T.conv2d(x, k, 1, 1), scale, shift))
                 probs = T.softmax(B.simam(h, B.SimamConfig()), axis=1)
                 loss = T.total_mean(T.mul(probs, probs))
             backward(loss, tape)
@@ -421,7 +421,7 @@ class TestTapeHolds:
         with Tape() as tape:
             h = T.conv2d(x, k, 1, 1)
             buffer = weakref.ref(h.data if h.data.base is None else h.data.base)
-            y = B.group_norm(h, scale, shift, 2)
+            y = B.group_norm(h, scale, shift)
             del h
             assert buffer() is None
             loss = T.total_sum(T.mul(y, y))
@@ -478,7 +478,7 @@ class TestNodePrep:
         "conv2d_depthwise": ((2, 4, 6, 6), (4, 1, 3, 3), lambda x, k: T.conv2d(x, k, 2, 1)),
         "conv2d_gathered": ((2, 3, 6, 6), (5, 3, 3, 3), lambda x, k: T.conv2d(x, k, 2, 1)),
         "upsample_conv2d": ((2, 3, 4, 5), (4, 3, 3, 3), T.upsample_conv2d),
-        "group_norm": ((2, 4, 3, 5), (4,), lambda x, scale: B.group_norm(x, scale, Tensor(np.zeros(4)), 2)),
+        "group_norm": ((2, 4, 3, 5), (4,), lambda x, scale: B.group_norm(x, scale, Tensor(np.zeros(4)))),
     }
 
     @pytest.mark.parametrize("x_requires_grad", [False, True])
@@ -644,8 +644,8 @@ def test_conv_non_finite_arithmetic_names_the_op(op, x, kernel, args):
     (lambda: T.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))), stride=1.5), ShapeError, "conv2d"),
     (lambda: T.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))), stride=2.0), ShapeError, "conv2d"),
     (lambda: T.conv2d(Tensor(np.ones((1, 1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))), padding=0.5), ShapeError, "conv2d"),
-    (lambda: B.group_norm(Tensor(np.ones((1, 4, 2, 2))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 2.0),
-     ShapeError, "group_norm"),
+    (lambda: T.affine_norm(Tensor(np.ones((1, 4, 2, 2))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 2.0,
+                           op="group_norm"), ShapeError, "group_norm"),
     (lambda: T.affine_norm(Tensor(np.ones((1, 4, 2, 2))), Tensor(np.ones(4)), Tensor(np.zeros(4)), np.float64(2.0),
                            op="group_norm"), ShapeError, "group_norm"),
     (lambda: T.affine_norm(Tensor(np.ones((3, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 1.0, op="layer_norm"),
@@ -654,9 +654,9 @@ def test_conv_non_finite_arithmetic_names_the_op(op, x, kernel, args):
     (lambda: grad_check(T.total_sum, Tensor(np.ones(2)), eps=-1e-5), DomainError, None),
     (lambda: grad_check(T.total_sum, Tensor(np.ones(2)), eps=np.nan), DomainError, None),
     (lambda: grad_check(T.total_sum, Tensor(np.ones(2)), eps=np.inf), DomainError, None),
-    (lambda: B.group_norm(Tensor(np.ones((2, 4, 0, 0))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 2),
+    (lambda: B.group_norm(Tensor(np.ones((2, 4, 0, 0))), Tensor(np.ones(4)), Tensor(np.zeros(4))),
      ShapeError, "group_norm"),
-    (lambda: B.group_norm(Tensor(np.ones((0, 4, 2, 2))), Tensor(np.ones(4)), Tensor(np.zeros(4)), 2),
+    (lambda: B.group_norm(Tensor(np.ones((0, 4, 2, 2))), Tensor(np.ones(4)), Tensor(np.zeros(4))),
      ShapeError, "group_norm"),
     (lambda: B.layer_norm(Tensor(np.ones((3, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0))), ShapeError, "layer_norm"),
     (lambda: B.layer_norm(Tensor(np.ones((0, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4))), ShapeError, "layer_norm"),
@@ -681,12 +681,12 @@ def test_conv_non_finite_arithmetic_names_the_op(op, x, kernel, args):
      "upsample_conv2d"),
     (lambda: T.upsample_conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((0, 2, 3, 3)))), ShapeError,
      "upsample_conv2d"),
-    (lambda: B.group_norm(Tensor(_poisoned((2, 4, 3, 3), np.nan)), Tensor(np.ones(4)), Tensor(np.zeros(4)), 2),
+    (lambda: B.group_norm(Tensor(_poisoned((2, 4, 3, 3), np.nan)), Tensor(np.ones(4)), Tensor(np.zeros(4))),
      NonFiniteError, "group_norm"),
-    (lambda: B.group_norm(Tensor(_poisoned((2, 4, 3, 3), np.inf)), Tensor(np.ones(4)), Tensor(np.zeros(4)), 2),
+    (lambda: B.group_norm(Tensor(_poisoned((2, 4, 3, 3), np.inf)), Tensor(np.ones(4)), Tensor(np.zeros(4))),
      NonFiniteError, "group_norm"),
-    (lambda: B.group_norm(Tensor(_poisoned((2, 4, 3, 3), np.inf, -np.inf)), Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                          2), NonFiniteError, "group_norm"),
+    (lambda: B.group_norm(Tensor(_poisoned((2, 4, 3, 3), np.inf, -np.inf)), Tensor(np.ones(4)), Tensor(np.zeros(4))),
+     NonFiniteError, "group_norm"),
     (lambda: B.layer_norm(Tensor(_poisoned((3, 4), np.nan)), Tensor(np.ones(4)), Tensor(np.zeros(4))),
      NonFiniteError, "layer_norm"),
     (lambda: B.layer_norm(Tensor(_poisoned((3, 4), np.inf)), Tensor(np.ones(4)), Tensor(np.zeros(4))),
