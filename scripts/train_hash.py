@@ -11,7 +11,9 @@ of every step's loss and CIM weights, every parameter after training and
 the shifted-domain nucleus probabilities. Bytes are hashed, not shapes, so a
 parameter whose layout changes but whose values do not hashes the same.
 Two runs or two checkouts that print the same lines computed bit-identical
-results.
+results, at one BLAS thread count: a GEMM split over more threads may sum in
+another order, so the 64x64 line differs between OPENBLAS_NUM_THREADS=1 and 2
+while runs at the same count agree.
 """
 
 from __future__ import annotations

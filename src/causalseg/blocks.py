@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DegenerateInputError, NonFiniteError, ShapeError
+from .errors import ConfigError, DegenerateInputError, ShapeError
 from .tensor import Tensor
 
 MBCONV_EXPANSION = 4
@@ -107,13 +107,13 @@ def simam(x: Tensor, cfg: SimamConfig) -> Tensor:
     if hw < 2:
         raise DegenerateInputError("simam: each channel needs at least 2 spatial positions")
     xd = x.data
-    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry, inf - inf or overflow: raised below
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry, inf - inf or overflow: checked below
         dev = xd - xd.mean(axis=(2, 3), keepdims=True)
         d = dev * dev
         den = (d.sum(axis=(2, 3), keepdims=True) / (hw - 1) + cfg.lam) * 4.0
         den2 = den * den  # the backward divides by it
-    if not np.isfinite(den2).all():  # NaN or inf anywhere in a channel makes its den2 so
-        raise NonFiniteError("simam: a channel holds NaN or inf, or its variance is too large to differentiate")
+    # NaN or inf anywhere in a channel, or a variance too large to differentiate, makes its den2 so
+    T.check_finite("simam", "the squared variance term of a channel", den2, x.shape)
     a = 1.0 / (1.0 + np.exp(-(d / den + 0.5)))
 
     def grad_x(g):

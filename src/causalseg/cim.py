@@ -138,8 +138,7 @@ def extract_feature_vars(f5, cfg: CimConfig, seed: int) -> np.ndarray:
     n, c = data.shape[0], data.shape[1]
     if n < 2:
         raise DegenerateInputError("extract_feature_vars: need at least 2 samples")
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteError("extract_feature_vars: non-finite feature")
+    T.check_finite("extract_feature_vars", "the features", data, data.shape)
     pooled = data.mean(axis=(2, 3))  # (n, c)
     chosen = np.sort(np.random.default_rng(mix64(seed, 2000)).choice(c, size=min(cfg.m_features, c), replace=False))
     x = pooled[:, chosen] - pooled[:1, chosen]  # a constant column is exactly 0
@@ -155,8 +154,7 @@ def rff_map(column: np.ndarray, bank: RFFBank) -> np.ndarray:
 
 def _lift(x: np.ndarray, omega: np.ndarray, phi: np.ndarray, op: str) -> np.ndarray:
     """Column k of an (n, m) matrix through bank (omega[k], phi[k]), the m lifts side by side: (n, m * n_f)."""
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError(f"{op}: non-finite input")
+    T.check_finite(op, "the input", x, x.shape)
     return (np.sqrt(2.0) * np.cos(x[:, :, None] * omega + phi)).reshape(x.shape[0], -1)
 
 

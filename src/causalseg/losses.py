@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DomainError, NonFiniteError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .tensor import Tensor
 
 PROB_EPS = 1e-7  # probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before logs
@@ -51,8 +51,7 @@ def _check_pair(op: str, probs: Tensor, target: np.ndarray) -> np.ndarray:
         raise ShapeError(op, probs.shape, detail="no samples or no pixels")
     if not np.all((target == 0) | (target == 1)):
         raise DomainError(f"{op}: labels must be binary")
-    if not np.all(np.isfinite(probs.data)):
-        raise NonFiniteError(f"{op}: probabilities are non-finite")
+    T.check_finite(op, "the probabilities", probs.data, probs.shape, target.shape)
     return target.astype(np.float64)
 
 
@@ -108,8 +107,7 @@ def total_loss(l_cim: Tensor, l_dice: Tensor, l_fl: Tensor, cfg: LossConfig) -> 
     for name, t in (("l_cim", l_cim), ("l_dice", l_dice), ("l_fl", l_fl)):
         if t.size != 1:
             raise ShapeError("total_loss", t.shape, detail=f"{name} must be a scalar")
-        if not np.isfinite(t.item()):
-            raise NonFiniteError(f"total_loss: {name} is non-finite")
+        T.check_finite("total_loss", name, t.data, l_cim.shape, l_dice.shape, l_fl.shape)
     return l_cim + cfg.lam * l_dice + (1.0 - cfg.lam) * l_fl
 
 

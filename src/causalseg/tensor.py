@@ -43,11 +43,15 @@ Design notes:
   * The decoder's 3x3 conv of a nearest 2x upsample is one node: four 2x2
     parity kernels run as one conv on the low-res input, and backward runs
     that conv's own gradient maps (see ``upsample_conv2d``).
+  * One non-finite rule: an op that must not pass NaN or inf on checks the
+    values it computes with ``check_finite``, never numpy's floating-point
+    flags, which belong to the calling thread alone (not to a BLAS worker)
+    and which a NaN input does not set. Arithmetic that may meet such a value
+    runs under ``np.errstate(..."ignore")`` only so that numpy does not warn.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import math
 from typing import Callable, Sequence
@@ -115,6 +119,12 @@ class Tensor:
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def check_finite(op: str, what: str, values: np.ndarray, *shapes: tuple[int, ...]) -> None:
+    """Raise a ``NonFiniteError`` naming ``op``, ``what`` and the input shapes if ``values`` holds NaN or inf."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"{op}: NaN or inf in {what}, for inputs {' and '.join(map(str, shapes))}")
 
 
 def is_int(*values) -> bool:
@@ -388,9 +398,9 @@ def _softmax(x: np.ndarray, axis: int) -> tuple[np.ndarray, Callable]:
     """x's softmax and the map from its gradient to x's, which rounds as the composite exp(x - max) / sum did.
     A slice's sum is finite, in [1, extent], exactly when its maximum is: -inf beside a finite entry is legal."""
     peak = x.max(axis=axis, keepdims=True)
-    if not np.all(np.isfinite(peak)):
-        raise NonFiniteError("softmax: a slice holds NaN or +inf, or only -inf")
-    e = np.exp(x - peak)
+    check_finite("softmax", "the maximum of a slice", peak, x.shape)
+    with np.errstate(over="ignore"):  # x - peak may overflow only to -inf, and exp(-inf) is exactly 0
+        e = np.exp(x - peak)
     total = e.sum(axis=axis, keepdims=True)
     return e / total, lambda g: (g / total + (-g * e / (total * total)).sum(axis=axis, keepdims=True)) * e
 
@@ -414,11 +424,11 @@ def affine_norm(x: Tensor, scale: Tensor, shift: Tensor, groups: int, op: str = 
         raise ShapeError(op, x.shape, detail="no entries to normalise")
     size = math.prod(xshape[1:]) // groups  # entries per (sample, group)
     xg = x.data.reshape(n, groups, size)
-    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry, inf - inf or overflow: raised below
-        if not np.isfinite(mean := xg.mean(axis=2, keepdims=True)).all():
-            raise NonFiniteError(f"{op}: the mean of a group is NaN or inf")
-    xc = xg - mean
-    inv = (np.einsum("ngm,ngm->ng", xc, xc) / size + NORM_EPS) ** -0.5  # 1 / std per (sample, group)
+    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf entry, inf - inf or overflow: checked below
+        xc = xg - xg.mean(axis=2, keepdims=True)
+        var = np.einsum("ngm,ngm->ng", xc, xc) / size
+    check_finite(op, "the variance of a group", var, xshape)  # finite only if every entry, mean and square is
+    inv = (var + NORM_EPS) ** -0.5  # 1 / std per (sample, group)
     xc = xc.reshape(n, groups, cg, -1)  # axes: sample, group, channel in group, the rest
     gain = scale.data.reshape(groups, cg)
     y = xc * (gain[..., None] * inv[:, :, None, None])
@@ -524,19 +534,6 @@ def _scatter(cols: np.ndarray, xshape: tuple, k: int, stride: int, pad: int) -> 
     return gx
 
 
-@contextlib.contextmanager
-def _finite(op: str, *shapes: tuple[int, ...]):
-    """Raise an invalid value or an overflow in numpy arithmetic inside the block,
-    such as inf times a zero weight, as a ``NonFiniteError`` naming ``op`` and the
-    input shapes. It costs no pass over the data: a NaN input sets no flag and passes,
-    and so does a flag set in another BLAS thread than the caller's."""
-    try:
-        with np.errstate(invalid="raise", over="raise"):
-            yield
-    except FloatingPointError as err:
-        raise NonFiniteError(f"{op}: {err} for inputs {' and '.join(map(str, shapes))}") from None
-
-
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with a kernel (no kernel flip).
 
@@ -544,9 +541,11 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     output channel i filters input channel i alone. Each kernel tap reads
     windows gathered from x or a view of x's phase planes (see the design notes).
     """
-    with _finite("conv2d", x.shape, kernel.shape):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf times a zero tap, or an overflow: checked below
         y, prep, grad_x, grad_kernel = _conv2d(x.data, kernel.data, stride, padding)
-    return _record(Tensor(np.ascontiguousarray(y)), (x, grad_x), (kernel, grad_kernel), prep=prep)
+    out = Tensor(np.ascontiguousarray(y))
+    check_finite("conv2d", "the output", out.data, x.shape, kernel.shape)
+    return _record(out, (x, grad_x), (kernel, grad_kernel), prep=prep)
 
 
 def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.ndarray, Callable, Callable, Callable]:
@@ -687,7 +686,7 @@ def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail=f"kernel expects {ck} channels, input has {c}")
     if x.size == 0 or kernel.size == 0:
         raise ShapeError("upsample_conv2d", x.shape, kernel.shape, detail="no entries in x or kernel")
-    with _finite("upsample_conv2d", x.shape, kernel.shape):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf times a zero tap, or an overflow: checked below
         # (O*C, 9) @ (9, 16) -> (O, C, a, b, 2, 2) -> parity kernels (a, b, O) x (C, 2, 2)
         folded = (kernel.data.reshape(o * c, 9) @ _PARITY_FOLD).reshape(o, c, 4, 4).transpose(2, 0, 1, 3)
         y, conv_prep, conv_grad_x, conv_grad_kernel = _conv2d(x.data, folded.reshape(4 * o, c, 2, 2), 1, 1)
@@ -706,4 +705,5 @@ def upsample_conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         return (gk.reshape(o * c, 16) @ _PARITY_FOLD.T).reshape(o, c, 3, 3)
 
     out = Tensor(out.reshape(n, o, 2 * h, 2 * w))
+    check_finite("upsample_conv2d", "the output", out.data, x.shape, kernel.shape)
     return _record(out, (x, conv_grad_x), (kernel, grad_kernel), prep=unshuffle)

@@ -1,8 +1,13 @@
 import gc
+import json
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,9 @@ from causalseg.errors import DomainError, NonFiniteError, ShapeError, TapeError
 from causalseg.tensor import Tensor, Tape, backward
 import composite as C
 from gradcheck import grad_check
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def rng(seed):
@@ -209,6 +217,11 @@ class TestReduce:
         out = T.softmax(Tensor(logits), axis=3).data
         np.testing.assert_allclose(out.sum(axis=3), 1.0, rtol=0, atol=1e-12)
         assert np.all(out[np.isneginf(logits)] == 0.0)
+
+    def test_softmax_of_an_overflowing_spread_is_exact(self):
+        """1e308 - -1e308 overflows to inf, so x - max is -inf, whose exp is exactly 0:
+        the result is [1, 0], with no overflow warning (an error here)."""
+        assert np.array_equal(T.softmax(Tensor([[1e308, -1e308]]), axis=1).data, [[1.0, 0.0]])
 
     @pytest.mark.parametrize("requires_grad,nodes", [(True, 1), (False, 0)])
     def test_softmax_is_one_node(self, requires_grad, nodes):
@@ -633,6 +646,73 @@ def test_conv_non_finite_arithmetic_names_the_op(op, x, kernel, args):
     assert str(err.value).startswith(f"{op.__name__}: ") and f"{x.shape} and {kernel.shape}" in str(err.value)
 
 
+_TWO_THREAD_PROBE = r"""
+import json
+import numpy as np
+from causalseg import blocks as B, dac as D, tensor as T
+from causalseg.errors import NonFiniteError
+from causalseg.tensor import Tensor
+
+def op_named(call):
+    try:
+        call()
+    except NonFiniteError as err:
+        return str(err).partition(":")[0]
+    return None
+
+g = np.random.default_rng(0)
+x, k = g.standard_normal((8, 64, 64, 64)), g.standard_normal((64, 64, 3, 3))
+k[:, 63] = 0.0  # inf times a zero tap is NaN
+named = {}
+for case, index, value in (("inf at 4,63,60,10", (4, 63, 60, 10), np.inf), ("inf at 7,63,60,10", (7, 63, 60, 10), np.inf),
+                           ("inf at 0,63,10,10", (0, 63, 10, 10), np.inf), ("nan at 2,5,7,9", (2, 5, 7, 9), np.nan)):
+    bad = x.copy()
+    bad[index] = value
+    named["conv2d " + case] = op_named(lambda: T.conv2d(Tensor(bad), Tensor(k), 1, 1))
+del x, bad
+
+image = g.standard_normal((2, 3, 8, 8))
+for value in (np.nan, np.inf):
+    bad = image.copy()
+    bad[1, 2, 3, 4] = value
+    named[f"cnn_down image {value}"] = op_named(lambda: B.cnn_down(Tensor(bad), B.make_cnn_down_params(g, 3, 8)))
+
+cases = []  # (case, the kernel that gets a NaN, the block call)
+p = B.make_cnn_down_params(g, 3, 8)
+cases.append(("cnn_down kernel", p["kernel"], lambda p=p: B.cnn_down(Tensor(image), p)))
+for name in ("expand_kernel", "dw_kernel", "project_kernel"):
+    p = B.make_mbconv_params(g, 3, 8, 2)
+    cases.append(("mbconv " + name, p[name], lambda p=p: B.mbconv(Tensor(image), p, 2)))
+f1, f2, skip = g.standard_normal((2, 8, 4, 4)), g.standard_normal((2, 16, 4, 4)), g.standard_normal((2, 8, 8, 8))
+layer = D.make_dac_layer(g, 8, 16, 16, 0)
+cases.append(("dac_fuse kernel", layer.kernel, lambda: D.dac_fuse(Tensor(f1), Tensor(f2), layer, B.SimamConfig())))
+for name in ("up_kernel", "skip_kernel"):
+    p = B.make_decoder_params(g, 16, 8, 8)
+    cases.append(("decoder_block " + name, p[name], lambda p=p: B.decoder_block(Tensor(f2), Tensor(skip), p)))
+for case, kernel, call in cases:
+    kernel.data.flat[0] = np.nan
+    named[case] = op_named(call)
+print(json.dumps(named))
+"""
+
+
+def test_non_finite_conv_outputs_raise_with_two_blas_threads():
+    """With two BLAS threads set before numpy loads, every non-finite conv output raises a
+    NonFiniteError naming the conv: an inf against a zero tap at three positions of a large
+    input, a NaN input, a NaN or inf image, and a NaN in one kernel of each block kind.
+
+    A check of floating-point flags misses a NaN input or kernel at any thread count, since NaN
+    sets no flag, and an inf whose GEMM runs on a worker thread, whose flags never reach the
+    caller. The first two inf positions show that second gap only where OpenBLAS runs two
+    threads, so on a host with fewer than 2 cores they raise under either check."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONWARNINGS="error", PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", _TWO_THREAD_PROBE], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    named = json.loads(run.stdout)
+    expected = {case: "upsample_conv2d" if case == "decoder_block up_kernel" else "conv2d" for case in named}
+    assert len(named) == 13 and named == expected
+
+
 @pytest.mark.parametrize("call,error,op", [
     (lambda: T.reshape(Tensor(np.ones(4)), (-2, -2)), ShapeError, "reshape"),  # product 4, as the input's
     (lambda: T.reshape(Tensor(np.ones(4)), (-1, -4)), ShapeError, "reshape"),
@@ -691,6 +771,10 @@ def test_conv_non_finite_arithmetic_names_the_op(op, x, kernel, args):
      NonFiniteError, "layer_norm"),
     (lambda: B.layer_norm(Tensor(_poisoned((3, 4), np.inf)), Tensor(np.ones(4)), Tensor(np.zeros(4))),
      NonFiniteError, "layer_norm"),
+    (lambda: B.group_norm(Tensor(_poisoned((2, 4, 3, 3), 1e160, -1e160)), Tensor(np.ones(4)), Tensor(np.zeros(4))),
+     NonFiniteError, "group_norm"),
+    (lambda: B.layer_norm(Tensor(_poisoned((3, 4), 1e160, -1e160)), Tensor(np.ones(4)), Tensor(np.zeros(4))),
+     NonFiniteError, "layer_norm"),
     (lambda: B.simam(Tensor(_poisoned((2, 4, 3, 3), np.nan)), B.SimamConfig()), NonFiniteError, "simam"),
     (lambda: B.simam(Tensor(_poisoned((2, 4, 3, 3), np.inf)), B.SimamConfig()), NonFiniteError, "simam"),
     (lambda: B.simam(Tensor(_poisoned((2, 4, 3, 3), np.inf, -np.inf)), B.SimamConfig()), NonFiniteError, "simam"),
@@ -707,7 +791,8 @@ def test_conv_non_finite_arithmetic_names_the_op(op, x, kernel, args):
         "dice-no-samples", "total-mean-empty", "matmul-inner-0", "upsample-conv-empty",
         "conv-kernel-0x0", "conv-kernel-3x2x0x0", "conv-no-samples", "conv-no-channels", "conv-no-outputs",
         "upsample-conv-no-samples", "upsample-conv-no-outputs", "group-norm-nan", "group-norm-inf",
-        "group-norm-inf-minus-inf", "layer-norm-nan", "layer-norm-inf", "simam-nan", "simam-inf",
+        "group-norm-inf-minus-inf", "layer-norm-nan", "layer-norm-inf", "group-norm-variance-overflow",
+        "layer-norm-variance-overflow", "simam-nan", "simam-inf",
         "simam-inf-minus-inf", "simam-overflow", "simam-overflow-in-sum",
         "miou-no-samples", "dsc-no-pixels", "total-loss-non-scalar"])
 def test_structured_errors_at_the_boundary(call, error, op):
@@ -715,6 +800,8 @@ def test_structured_errors_at_the_boundary(call, error, op):
         call()
     if op is not None:  # a ShapeError carries the op; other errors name it first in the message
         assert getattr(err.value, "op", str(err.value).partition(":")[0]) == op
+    if error is NonFiniteError:
+        assert ", for inputs (" in str(err.value)
 
 
 def test_forward_determinism():
