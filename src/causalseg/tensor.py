@@ -25,21 +25,22 @@ Design notes:
     unshuffles it onto its parity grids, and ``affine_norm`` sums g * xc.
   * A kernel is dense, (O, C, K, K), or depthwise, (C, 1, K, K), and a
     convolution runs one of two ways; the tape keeps only x and the kernel.
-    - Gathered taps, for a depthwise kernel or C < O with K > 1: each tap's
-      window of every output is copied from a strided view of x, zero where
-      it reads padding, for one GEMM per group. A dense kernel's input
-      gradient is the gather's exact adjoint: one GEMM of the kernel's
-      transpose with the output gradient, then a scatter that sums the taps
-      landing on each stride x stride phase of x in tap order and writes that
-      phase once. Its kernel gradient is one batched GEMM against the taps,
-      gathered again from x. A depthwise kernel's backward runs per tap.
-    - Per tap, otherwise: x splits into s x s flat phase planes, the gather
-      with K = stride over (Ho + e) x (Wo + e) windows, e = (K - 1) // s, so
-      each tap is a zero-copy view of the planes and runs its own (O, C) GEMM
-      into an Ho x (Wo + e) grid, cropped once. Backward adds each tap's share
-      of the gradient on that grid into zeroed planes, which return to x
-      through the scatter; the kernel gradient gathers the planes again.
-      ``_spans`` is the one tap-window geometry, and both paths use it.
+    - Gathered taps, for a depthwise kernel, a stride above 1, or C < O with
+      K > 1: each tap's window of every output is copied from a strided view
+      of x, zero where it reads padding, for one GEMM per group. The input
+      gradient is the gather's exact adjoint: each tap's share of the output
+      gradient (one GEMM of a dense kernel's transpose, or a depthwise
+      kernel's product per tap), then a scatter that sums the taps landing on
+      each stride x stride phase of x in tap order and writes that phase
+      once. The kernel gradient reduces the output gradient against the taps,
+      gathered again from x: one batched GEMM, or one einsum if depthwise.
+    - Per tap, otherwise (a dense kernel at stride 1 with C >= O, or K = 1):
+      x is zero-padded into one flat plane of Wq-wide rows, with K - 1 zeros
+      after it, so each tap is a zero-copy view of the plane and runs its own
+      (O, C) GEMM into an Ho x Wq grid, cropped once to Wo columns. Backward
+      adds each tap's share of the gradient on that grid into a zeroed plane
+      and crops x's gradient from it; the kernel gradient builds the plane
+      again.
   * The decoder's 3x3 conv of a nearest 2x upsample is one node: four 2x2
     parity kernels run as one conv on the low-res input, and backward runs
     that conv's own gradient maps (see ``upsample_conv2d``).
@@ -497,10 +498,10 @@ def _fill(buf: np.ndarray, block: np.ndarray, i: int, j: int) -> None:
         buf[..., j + c:] = 0.0
 
 
-def _gather(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Each tap's window of every output, copied from a strided view of x into
-    ``out`` or a new array: (N, C, K * K, Ho, Wo), 0 where the window reads padding."""
-    cols = np.empty(x.shape[:2] + (k * k, ho, wo)) if out is None else out
+def _gather(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
+    """Each tap's window of every output, copied from a strided view of x:
+    (N, C, K * K, Ho, Wo), 0 where the window reads padding."""
+    cols = np.empty(x.shape[:2] + (k * k, ho, wo))
     for t, ((r0, r1, xr), (c0, c1, xc)) in enumerate(_windows(x.shape, k, stride, pad, ho, wo)):
         _fill(cols[:, :, t], x[..., xr:xr + stride * (r1 - r0):stride, xc:xc + stride * (c1 - c0):stride], r0, c0)
     return cols
@@ -534,12 +535,25 @@ def _scatter(cols: np.ndarray, xshape: tuple, k: int, stride: int, pad: int) -> 
     return gx
 
 
+def _plane(x: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """x zero-padded by ``pad`` into one flat (N, C, Hp * Wq + K - 1) plane, for
+    padded extents Hp x Wq: tap (ki, kj) of a stride-1 conv reads it from ki * Wq + kj."""
+    n, c, h, w = x.shape
+    hp, wq = h + 2 * pad, w + 2 * pad
+    if k == 1 and pad == 0:  # x is its own plane
+        return x.reshape(n, c, hp * wq)
+    p = np.empty((n, c, hp * wq + k - 1))
+    _fill(p[..., :hp * wq].reshape(n, c, hp, wq), x, pad, pad)
+    p[..., hp * wq:] = 0.0
+    return p
+
+
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of NCHW input with a kernel (no kernel flip).
 
     The kernel is dense, (O, C, K, K), or depthwise, (C, 1, K, K), where
     output channel i filters input channel i alone. Each kernel tap reads
-    windows gathered from x or a view of x's phase planes (see the design notes).
+    windows gathered from x or a view of x's zero-padded plane (see the design notes).
     """
     with np.errstate(invalid="ignore", over="ignore"):  # inf times a zero tap, or an overflow: checked below
         y, prep, grad_x, grad_kernel = _conv2d(x.data, kernel.data, stride, padding)
@@ -566,56 +580,33 @@ def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.nd
     ho, wo = _conv_out_extent(h, kh, s, padding), _conv_out_extent(w, kw, s, padding)
     if ho < 1 or wo < 1 or xd.size == 0 or kd.size == 0:
         raise ShapeError("conv2d", xshape, kshape, detail=f"no entries in x or kernel, or output extent {ho}x{wo}")
-    if c < o and kh > 1:  # few inputs per output: one GEMM on the gathered taps
-        ckk = c * kh * kw
-        wmat = kd.reshape(o, ckk)
-        y = (wmat @ _gather(xd, kh, s, padding, ho, wo).reshape(n, ckk, ho * wo)).reshape(n, o, ho, wo)
+    kk, depthwise = kh * kw, ck == 1 and o == c
+    if depthwise or s > 1 or c < o and kh > 1:  # gathered taps: one GEMM per group of channels
+        def taps():  # (N, C, K * K, Ho * Wo), gathered again by the kernel gradient, so the tape holds only x
+            return _gather(xd, kh, s, padding, ho, wo).reshape(n, c, kk, ho * wo)
 
-        def scatter_x(g):  # the gather's exact adjoint
-            return _scatter((wmat.T @ g).reshape(n, c, kh * kw, ho, wo), xshape, kh, s, padding)
+        def scatter_x(g):  # each tap's share of g, a product per tap if depthwise, then the gather's exact adjoint
+            cols = kd.reshape(c, kk, 1) * g[:, :, None] if depthwise else kd.reshape(o, c * kk).T @ g
+            return _scatter(cols.reshape(n, c, kk, ho, wo), xshape, kh, s, padding)
 
-        def gemm_kernel(g):  # the taps gathered again, so the tape holds only x
-            cols = _gather(xd, kh, s, padding, ho, wo).reshape(n, ckk, ho * wo)
-            return (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(kshape)
+        def reduce_kernel(g):  # g against each tap: one einsum if depthwise, one batched GEMM otherwise
+            if depthwise:
+                return np.einsum("ncm,nctm->ct", g, taps()).reshape(kshape)
+            return (g @ taps().reshape(n, c * kk, ho * wo).transpose(0, 2, 1)).sum(axis=0).reshape(kshape)
 
-        return y, lambda g: g.reshape(n, o, ho * wo), scatter_x, gemm_kernel
+        y = kd.reshape(c, 1, kk) @ taps() if depthwise else kd.reshape(o, c * kk) @ taps().reshape(n, c * kk, ho * wo)
+        return y.reshape(n, o, ho, wo), lambda g: g.reshape(n, o, ho * wo), scatter_x, reduce_kernel
 
-    depthwise = ck == 1 and o == c
-    e = (kh - 1) // s  # how far a tap's offset reaches into a phase plane, in rows and columns
-    rows, wq = ho + e, wo + e
+    hp, wq = h + 2 * padding, w + 2 * padding  # stride 1: x's zero-padded extents
     m = ho * wq  # a tap's view: Ho rows of Wq entries, whose columns past Wo are cropped
-    direct = kh == 1 and s == 1 and padding == 0  # x is its own single plane
-    taps = [(ki % s, kj % s, (ki // s) * wq + kj // s) for ki in range(kh) for kj in range(kw)]
-    wt = np.ascontiguousarray(kd.reshape(o, ck, kh * kw).transpose(2, 0, 1))  # per tap (O, C) or (C, 1)
-
-    def phases(p):  # flat planes (N, C, s, s, rows * wq + e) as the taps of a K = s gather over rows x wq
-        return p[..., :rows * wq].reshape(n, c, s * s, rows, wq)
-
-    def planes():  # built again by the kernel gradient, so the tape holds only x
-        if direct:
-            return xd.reshape(n, c, 1, 1, m)
-        p = np.empty((n, c, s, s, rows * wq + e))
-        p[..., rows * wq:] = 0.0
-        _gather(xd, s, s, padding, rows, wq, out=phases(p))
-        return p
-
-    def view(p, t):  # tap t's window of every output: (N, C, Ho * Wq) with contiguous rows
-        a, b, off = taps[t]
-        return p[:, :, a, b, off:off + m]
-
-    def tap_back(t, gg, out=None):
-        return np.multiply(gg, wt[t], out=out) if depthwise else np.matmul(wt[t].T, gg, out=out)
-
-    if depthwise:  # one output per input channel: gather its taps for one GEMM per channel
-        y = kd.reshape(c, 1, kh * kw) @ _gather(xd, kh, s, padding, ho, wo).reshape(n, c, kh * kw, ho * wo)
-        y = y.reshape(n, o, ho, wo)
-    else:  # one (O, C) GEMM per tap, added into the output
-        p = planes()
-        y, scratch = wt[0] @ view(p, 0), None
-        for t in range(1, len(taps)):
-            scratch = np.matmul(wt[t], view(p, t), out=scratch)
-            y += scratch
-        y = y.reshape(n, o, ho, wq)[..., :wo]
+    offsets = [ki * wq + kj for ki in range(kh) for kj in range(kw)]
+    wt = np.ascontiguousarray(kd.reshape(o, c, kk).transpose(2, 0, 1))  # per tap (O, C)
+    p = _plane(xd, kh, padding)  # one (O, C) GEMM per tap, added into the output
+    y, scratch = wt[0] @ p[..., :m], None
+    for t in range(1, kk):
+        scratch = np.matmul(wt[t], p[..., offsets[t]:offsets[t] + m], out=scratch)
+        y += scratch
+    y = y.reshape(n, o, ho, wq)[..., :wo]
 
     def grid(g):  # the output gradient on the Ho x Wq grid, zero past Wo
         if wq == wo:
@@ -625,21 +616,17 @@ def _conv2d(xd: np.ndarray, kd: np.ndarray, s: int, padding: int) -> tuple[np.nd
         return gg.reshape(n, o, m)
 
     def tap_x(gg):
-        if direct:
-            return tap_back(0, gg).reshape(xshape)
-        gp, scratch = np.zeros((n, c, s, s, rows * wq + e)), None
-        for t in range(len(taps)):
-            scratch = tap_back(t, gg, out=scratch)
-            v = view(gp, t)
-            v += scratch
-        return _scatter(phases(gp), xshape, s, s, padding)
+        if kh == 1 and padding == 0:  # direct: x is its own plane
+            return (wt[0].T @ gg).reshape(xshape)
+        gp, scratch = np.zeros((n, c, hp * wq + kh - 1)), None
+        for t, off in enumerate(offsets):
+            scratch = np.matmul(wt[t].T, gg, out=scratch)
+            gp[..., off:off + m] += scratch
+        return gp[..., :hp * wq].reshape(n, c, hp, wq)[..., padding:padding + h, padding:padding + w].copy()
 
-    def tap_kernel(gg):
-        p = planes()
-        if depthwise:
-            per_tap = [np.einsum("ncm,ncm->c", gg, view(p, t)) for t in range(len(taps))]
-        else:
-            per_tap = [(gg @ view(p, t).transpose(0, 2, 1)).sum(axis=0) for t in range(len(taps))]
+    def tap_kernel(gg):  # the plane built again, so the tape holds only x
+        p = _plane(xd, kh, padding)
+        per_tap = [(gg @ p[..., off:off + m].transpose(0, 2, 1)).sum(axis=0) for off in offsets]
         return np.stack(per_tap, axis=-1).reshape(kshape)
 
     return y, grid, tap_x, tap_kernel

@@ -280,19 +280,28 @@ class TestConvBackward:
                 np.testing.assert_allclose(gx, ox, rtol=0, atol=atol)
                 np.testing.assert_allclose(gk, ok[:, None], rtol=0, atol=atol)
 
-    # Every op's input gradient ends in ``_scatter``: the gather's adjoint on
-    # the gathered path (C < O with K > 1, as in the 3 -> 4 conv and the
-    # sub-pixel conv's parity kernels), and the crop of the phase planes'
-    # gradient onto x on the per-tap path (depthwise, C >= O).
-    @pytest.mark.parametrize("op", ["conv2d", "depthwise", "dense", "upsample_conv2d"])
+    # Backward computes no input gradient for a constant x. Each path has its
+    # own input-gradient map: on gathered taps (depthwise, strided, or C < O
+    # with K > 1, as in the 3 -> 4 conv and the sub-pixel conv's parity
+    # kernels) it ends in ``_scatter``, the gather's adjoint; on the per-tap
+    # path (dense C >= O at stride 1) it crops the padded plane's gradient and
+    # calls no ``_scatter``.
+    @pytest.mark.parametrize("op", ["conv2d", "depthwise", "dense", "dense-strided", "upsample_conv2d"])
     def test_constant_input_gets_no_gradient(self, op, monkeypatch):
         g = rng(13)
-        kshape = {"depthwise": (3, 1, 3, 3), "dense": (2, 3, 3, 3)}.get(op, (4, 3, 3, 3))
+        kshape = {"depthwise": (3, 1, 3, 3), "dense": (2, 3, 3, 3), "dense-strided": (2, 3, 3, 3)}.get(op, (4, 3, 3, 3))
         x, kernel = g.normal(size=(2, 3, 4, 5)), g.normal(size=kshape)
         conv = {"conv2d": lambda t, k: T.conv2d(t, k, 1, 1), "depthwise": lambda t, k: T.conv2d(t, k, 2, 1),
-                "dense": lambda t, k: T.conv2d(t, k, 2, 1), "upsample_conv2d": T.upsample_conv2d}[op]
-        calls, real = [], T._scatter  # calls of the helper that maps gradients onto x
-        monkeypatch.setattr(T, "_scatter", lambda *a: calls.append(a) or real(*a))
+                "dense": lambda t, k: T.conv2d(t, k, 1, 1), "dense-strided": lambda t, k: T.conv2d(t, k, 2, 1),
+                "upsample_conv2d": T.upsample_conv2d}[op]
+        maps, scatters, real_conv, real_scatter = [], [], T._conv2d, T._scatter
+
+        def spied_conv(*a):  # counts calls of the input-gradient map that the path hands the tape
+            y, prep, grad_x, grad_kernel = real_conv(*a)
+            return y, prep, lambda gg: maps.append(op) or grad_x(gg), grad_kernel
+
+        monkeypatch.setattr(T, "_conv2d", spied_conv)
+        monkeypatch.setattr(T, "_scatter", lambda *a: scatters.append(a) or real_scatter(*a))
         kernel_grads = []
         for x_requires_grad in (True, False):
             xt, kt = Tensor(x, requires_grad=x_requires_grad), Tensor(kernel, requires_grad=True)
@@ -300,16 +309,18 @@ class TestConvBackward:
                 loss = T.total_sum(T.mul(conv(xt, kt), T.relu(conv(xt, kt))))
             grads = backward(loss, tape)
             assert (xt in grads) == x_requires_grad
-            assert len(calls) == (2 if x_requires_grad else 0)
-            calls.clear()
+            assert len(maps) == (2 if x_requires_grad else 0)
+            assert len(scatters) == (0 if op == "dense" or not x_requires_grad else 2)
+            maps.clear()
+            scatters.clear()
             kernel_grads.append(grads[kt])
         np.testing.assert_array_equal(kernel_grads[1], kernel_grads[0])
 
 
-# The phase-plane conv against the sliding-window oracles: strides 1-3,
-# pads 0-2 plus one wider than K // 2 for every K, even and odd extents,
-# and each forward path: dense with C < O (gathered taps), dense with C >= O
-# (one GEMM per tap) and depthwise.
+# Both conv paths against the sliding-window oracles: strides 1-3, pads 0-2
+# plus one wider than K // 2 for every K, even and odd extents, and each
+# kind of kernel: dense with C < O and depthwise (gathered taps), and dense
+# with C >= O (one GEMM per tap at stride 1, gathered taps above it).
 SWEEP = [(k, s, p) for k, s in itertools.product((1, 3, 5), (1, 2, 3)) for p in sorted({0, 1, 2, k // 2 + 1})]
 SWEEP_CHANNELS = [(2, 5), (5, 3), (4, 4), "depthwise"]  # (C, O)
 
@@ -351,7 +362,7 @@ class TestConvSweep:
 
 
 # The 15 convs of a train_conv step (64x64, batch 8): x's shape, the kernel's,
-# stride and padding. Indices 0, 2, 5, 7, 10, 12 and 13 run on gathered taps.
+# stride and padding.
 MODEL_CONVS = [
     ((8, 3, 64, 64), (8, 3, 3, 3), 2, 1), ((8, 3, 64, 64), (12, 3, 1, 1), 1, 0),
     ((8, 12, 64, 64), (12, 1, 3, 3), 2, 1), ((8, 12, 32, 32), (8, 12, 1, 1), 1, 0),
@@ -373,30 +384,34 @@ def padded_taps(x, k, stride, pad, ho, wo):
     return np.stack(taps, axis=2)
 
 
-def phase_windows(h, w, k, stride, pad):
-    """The windows the per-tap path gathers: K = stride over (Ho + e) x (Wo + e)."""
-    e = (k - 1) // stride
-    return T._conv_out_extent(h, k, stride, pad) + e, T._conv_out_extent(w, k, stride, pad) + e
+def padded_plane(x, k, pad):
+    """The per-tap path's plane, oracle for ``T._plane``: x zero-padded by
+    ``pad`` and flattened per channel, then K - 1 zeros."""
+    n, c = x.shape[:2]
+    padded = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))).reshape(n, c, -1)
+    return np.concatenate([padded, np.zeros((n, c, k - 1))], axis=2)
 
 
 class TestGatherScatter:
     @pytest.mark.parametrize("k,stride,pad", SWEEP)
     def test_scatter_is_the_gathers_adjoint(self, k, stride, pad):
         # <gather(x), G> = <x, scatter(G)> for every x and G: scatter is the
-        # gather's transpose, so it is x's exact gradient for any kernel: on the
-        # conv's own windows and on the per-tap path's phase planes.
+        # gather's transpose, so it is x's exact gradient for any kernel. At
+        # stride 1, the per-tap path's plane is padded x, bit for bit.
         g = rng(43)
         for h, w in [(8, 8), (7, 9)]:
-            conv = (k, T._conv_out_extent(h, k, stride, pad), T._conv_out_extent(w, k, stride, pad))
-            for kk, ho, wo in (conv, (stride, *phase_windows(h, w, k, stride, pad))):
-                x, cols = g.normal(size=(2, 3, h, w)), g.normal(size=(2, 3, kk * kk, ho, wo))
-                gathered, scattered = T._gather(x, kk, stride, pad, ho, wo), T._scatter(cols, x.shape, kk, stride, pad)
-                assert gathered.shape == cols.shape and scattered.shape == x.shape
-                np.testing.assert_allclose(np.vdot(gathered, cols), np.vdot(x, scattered), rtol=1e-12, atol=0)
+            ho, wo = T._conv_out_extent(h, k, stride, pad), T._conv_out_extent(w, k, stride, pad)
+            x, cols = g.normal(size=(2, 3, h, w)), g.normal(size=(2, 3, k * k, ho, wo))
+            gathered, scattered = T._gather(x, k, stride, pad, ho, wo), T._scatter(cols, x.shape, k, stride, pad)
+            assert gathered.shape == cols.shape and scattered.shape == x.shape
+            np.testing.assert_allclose(np.vdot(gathered, cols), np.vdot(x, scattered), rtol=1e-12, atol=0)
+            if stride == 1:
+                np.testing.assert_array_equal(T._plane(x, k, pad), padded_plane(x, k, pad))
 
     # At the model's convs, bit for bit: the gather against the padded-slice
-    # oracle, both for the conv's windows and for the per-tap path's phase
-    # planes, and the gathered convs' output against GEMMs on the oracle.
+    # oracle, and each conv's output against GEMMs on the oracle's taps: the
+    # gathered convs' GEMM per group of channels, and the per-tap convs' GEMM
+    # per tap on views of the padded plane.
     @pytest.mark.parametrize("xshape,kshape,stride,pad", MODEL_CONVS)
     def test_gathered_forward_matches_planes(self, xshape, kshape, stride, pad):
         g = rng(44)
@@ -405,14 +420,31 @@ class TestGatherScatter:
         ho, wo = T._conv_out_extent(h, k, stride, pad), T._conv_out_extent(w, k, stride, pad)
         cols = padded_taps(x, k, stride, pad, ho, wo)
         np.testing.assert_array_equal(T._gather(x, k, stride, pad, ho, wo), cols)
-        rows, wq = phase_windows(h, w, k, stride, pad)  # the per-tap path's phase planes
-        np.testing.assert_array_equal(T._gather(x, stride, stride, pad, rows, wq),
-                                      padded_taps(x, stride, stride, pad, rows, wq))
-        if ck == 1 or (c < o and k > 1):  # the convs that run on gathered taps: GEMMs on the oracle's taps
+        y_now = T.conv2d(Tensor(x), Tensor(kernel), stride, pad).data
+        if ck == 1 or stride > 1 or (c < o and k > 1):  # gathered taps: GEMMs on the oracle's taps
             groups = c // ck
             y = kernel.reshape(groups, o // groups, ck * k * k) @ cols.reshape(n, groups, ck * k * k, ho * wo)
-            y_now = T.conv2d(Tensor(x), Tensor(kernel), stride, pad).data
             np.testing.assert_array_equal(y_now, y.reshape(n, o, ho, wo))
+            return
+        wq, plane = w + 2 * pad, padded_plane(x, k, pad)
+        np.testing.assert_array_equal(T._plane(x, k, pad), plane)
+        y = sum(kernel[:, :, ki, kj] @ plane[..., ki * wq + kj:ki * wq + kj + ho * wq] for ki, kj in np.ndindex(k, k))
+        np.testing.assert_array_equal(y_now, y.reshape(n, o, ho, wq)[..., :wo])
+
+    # Which path each conv takes: the gathered path's forward gathers its
+    # taps once, and the per-tap path's gathers nothing. The model's
+    # depthwise and strided convs and its dense convs with C < O and K > 1
+    # are gathered, and so is a strided dense conv with C >= O, which no
+    # model conv is.
+    @pytest.mark.parametrize("index", range(len(MODEL_CONVS) + 1))
+    def test_each_conv_takes_its_path(self, index, monkeypatch):
+        xshape, kshape, stride, pad = (MODEL_CONVS + [((8, 16, 32, 32), (8, 16, 3, 3), 2, 1)])[index]
+        gathered = index in (0, 2, 5, 7, 10, 12, 13, 15)
+        calls, real_gather = [], T._gather
+        monkeypatch.setattr(T, "_gather", lambda *a: calls.append(a) or real_gather(*a))
+        g = rng(45)
+        T.conv2d(Tensor(g.normal(size=(1,) + xshape[1:])), Tensor(g.normal(size=kshape)), stride, pad)
+        assert len(calls) == (1 if gathered else 0)
 
 
 class TestConstantEdges:

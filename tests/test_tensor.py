@@ -443,7 +443,7 @@ class TestTapeHolds:
 
     def test_conv_keeps_no_im2col_buffer(self):
         # 3x3 windows over 16 channels: an im2col buffer would be 9x the input.
-        # The kernel gradient rebuilds its phase planes from x, so the tape
+        # The kernel gradient rebuilds its padded plane from x, so the tape
         # holds the output and no buffer.
         g = rng(34)
         x = Tensor(g.normal(size=(2, 16, 16, 16)), requires_grad=True)
@@ -463,9 +463,9 @@ class TestTapeHolds:
 
 
     def test_conv_forward_builds_no_im2col_buffer(self):
-        # With at least as many input as output channels each 3x3 tap runs its
-        # own GEMM on a view of the phase planes: the forward's peak stays
-        # below the 9x buffer an im2col conv would build.
+        # With at least as many input as output channels, at stride 1, each
+        # 3x3 tap runs its own GEMM on a view of the padded plane: the
+        # forward's peak stays below the 9x buffer an im2col conv would build.
         g = rng(35)
         x = Tensor(g.normal(size=(2, 16, 16, 16)), requires_grad=True)
         k = Tensor(g.normal(size=(8, 16, 3, 3)), requires_grad=True)
@@ -628,7 +628,7 @@ def _poisoned(shape, *values):
 
 @pytest.mark.parametrize("op,x,kernel,args", [
     (T.conv2d, np.full((1, 1, 4, 4), np.inf), np.zeros((2, 1, 3, 3)), (1, 1)),
-    (T.conv2d, _poisoned((1, 2, 4, 4), np.inf), np.zeros((2, 2, 3, 3)), (2, 1)),
+    (T.conv2d, _poisoned((1, 2, 4, 4), np.inf), np.zeros((2, 2, 3, 3)), (1, 1)),
     (T.conv2d, _poisoned((1, 2, 4, 4), np.inf), np.zeros((2, 1, 3, 3)), (1, 1)),
     (T.conv2d, np.full((1, 2, 4, 4), 1e200), np.full((2, 2, 1, 1), 1e200), ()),
     (T.upsample_conv2d, _poisoned((1, 2, 4, 4), np.inf), np.zeros((3, 2, 3, 3)), ()),
