@@ -7,7 +7,9 @@ the benchmark's data, model and step from ``perfbench/``. It builds the
 ``train_conv`` workload (64x64 images, batch 8, CIM off), runs one warm-up
 round of 8 steps, then times ``--steps`` steps and prints one JSON line with
 the median step time, the median minor page faults per step and the
-process's peak resident set size (``maxrss_mb``, from ``ru_maxrss``).
+process's peak resident set size (``maxrss_mb``, from ``ru_maxrss``). One
+more step then runs under tracemalloc: ``traced_peak_mib`` is its peak of
+traced memory above what was traced at its start.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,10 +51,18 @@ def main() -> None:
         H.train_step(model, *batches[k % BATCHES], False, tr)
         ms.append((time.perf_counter() - t0) * 1e3)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    maxrss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        H.train_step(model, *batches[args.steps % BATCHES], False, tr)
+        traced_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
     print(json.dumps({"seed": args.seed, "steps": args.steps, "step_ms_p50": round(statistics.median(ms), 2),
                       "minflt_per_step_p50": statistics.median(faults),
                       "minflt_per_step_mean": round(statistics.fmean(faults), 1),
-                      "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+                      "maxrss_mb": maxrss_mb, "traced_peak_mib": round(traced_peak / 2**20, 1)}))
 
 
 if __name__ == "__main__":

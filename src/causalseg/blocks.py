@@ -98,7 +98,8 @@ def simam(x: Tensor, cfg: SimamConfig) -> Tensor:
     compared against the channel variance (divisor H*W-1):
         a = sigmoid(d / (4 * (v + lam)) + 0.5),  output = x * a
     The energy is at least 0.5, so the plain logistic cannot overflow; the
-    coefficients lie in (0, 1) up to rounding near 1. The backward repeats, in
+    coefficients lie in (0, 1) up to rounding near 1. The tape keeps x and a:
+    the backward rebuilds d with the forward's own calls, then repeats, in
     order, the arithmetic of the elementwise composite, so it rounds alike.
     """
     if x.data.ndim != 4:
@@ -117,6 +118,8 @@ def simam(x: Tensor, cfg: SimamConfig) -> Tensor:
     a = 1.0 / (1.0 + np.exp(-(d / den + 0.5)))
 
     def grad_x(g):
+        dev = xd - xd.mean(axis=(2, 3), keepdims=True)
+        d = dev * dev
         ge = g * xd * a * (1.0 - a)  # the energy's gradient
         gdev = (ge / den + (-ge * d / den2).sum(axis=(2, 3), keepdims=True) * 4.0 / (hw - 1)) * dev
         gdev += gdev  # d = dev * dev: one term per factor

@@ -117,8 +117,9 @@ def value_grad_nodes(objective, lifted, w):
     leaf = Tensor(np.array(w, dtype=np.float64), requires_grad=True)
     with Tape() as tape:
         out = objective(lifted, leaf)
+    nodes = len(tape)  # read before backward, which pops every node
     backward(out, tape)
-    return out.item(), leaf.grad, len(tape)
+    return out.item(), leaf.grad, nodes
 
 
 @pytest.mark.parametrize("bad", [{"m_features": 2.5}, {"m_features": 0}, {"n_f": 0}, {"n_f": np.nan},

@@ -359,7 +359,7 @@ class TestBackward:
         with pytest.raises(TapeError):
             with tape:
                 T.mul(x, x)
-        assert len(tape) == 2
+        assert len(tape) == 0  # backward popped both nodes, and the refused reopen recorded none
         assert T.mul(x, x).requires_grad is False  # the refused tape is not left active
 
     def test_no_reference_cycle_through_the_tape(self):
@@ -480,6 +480,81 @@ class TestTapeHolds:
             tracemalloc.stop()
         assert y.shape == (2, 8, 16, 16)
         assert peak < cols_bytes / 2
+
+    def test_node_released_before_earlier_nodes_run(self):
+        # The mul's edge captured c's array, and nothing else holds it: backward
+        # pops the mul's node, so the array is dead when the node recorded
+        # before it runs its edge.
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        seen = []
+        with Tape() as tape:
+            h = T._record(Tensor(x.data * 1.0), (x, lambda g: seen.append(captured() is None) or g))
+            c = np.full(3, 2.0)
+            captured = weakref.ref(c)
+            loss = T.total_sum(T.mul(h, Tensor(c)))
+            del c
+        assert captured() is not None
+        backward(loss, tape)
+        assert seen == [True] and len(tape) == 0
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_backward_peak_above_what_forward_left(self):
+        # cnn_down's strided conv, group norm and ReLU, then SimAM and softmax.
+        # Backward frees each node once run, so its peak above what the forward
+        # left is SimAM's temporaries, about 5.4 conv outputs here. Were every
+        # node kept to the end, the conv's gathered taps would come on top of
+        # the whole tape: about 8.8.
+        g = rng(37)
+        x = Tensor(g.normal(size=(4, 4, 64, 64)), requires_grad=True)
+        k = Tensor(g.normal(size=(8, 4, 3, 3)), requires_grad=True)
+        scale, shift = Tensor(np.ones(8), requires_grad=True), Tensor(np.zeros(8), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                h = T.conv2d(x, k, 2, 1)
+                out_bytes = h.data.nbytes
+                h = T.relu(B.group_norm(h, scale, shift))
+                probs = T.softmax(B.simam(h, B.SimamConfig()), axis=1)
+                loss = T.total_mean(T.mul(probs, probs))
+                del h, probs
+            left = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and k.grad is not None
+        assert peak - left < 6.5 * out_bytes
+
+    def test_simam_keeps_its_input_and_coefficients(self):
+        # The tape keeps x's array, which x holds anyway, and the coefficients
+        # a; backward rebuilds the deviations and their squares from x. With
+        # the output, the op holds 2x x's bytes (4x when the tape kept them).
+        x = Tensor(rng(38).normal(size=(2, 8, 32, 32)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                y = B.simam(x, B.SimamConfig())
+                held = tracemalloc.get_traced_memory()[0] - before
+                loss = T.total_sum(y)
+        finally:
+            tracemalloc.stop()
+        assert held < 3 * x.data.nbytes
+        backward(loss, tape)
+        assert x.grad is not None
+
+    def test_relu_mask_ignores_a_later_rebind_of_its_output(self):
+        # Gradient functions capture arrays, not tensors, as mul does: the mask
+        # is read from the output's array, whatever y.data is rebound to later.
+        x = Tensor([1.0, 2.0, -1.0], requires_grad=True)
+        with Tape() as tape:
+            y = T.relu(x)
+            y.data = np.zeros(3)
+            loss = T.total_sum(y)
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0, 0.0])
 
 
 class TestNodePrep:
